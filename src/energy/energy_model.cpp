@@ -70,4 +70,28 @@ EnergyPj EnergyModel::charge_baseline(const ExecutionRecord& rec,
   return total;
 }
 
+EnergyTotals EnergyModel::energy(FpuType unit, const EnergyCounts& counts,
+                                 Volt v) const {
+  // The same terms as charge() and charge_baseline(), each multiplied by
+  // its event count.
+  const auto n = [](std::uint64_t events) {
+    return static_cast<double>(events);
+  };
+  const EnergyPj stage = stage_energy(unit, v);
+  const EnergyPj recovery = recovery_energy(unit, v);
+  EnergyTotals t;
+  t.memoized_pj =
+      params_.spatial_compare_pj * n(counts.spatial_compares) +
+      params_.spatial_broadcast_pj * n(counts.spatial_reuses) +
+      stage * n(counts.active_stage_cycles) +
+      stage * params_.clock_gate_residual * n(counts.gated_stage_cycles) +
+      recovery * n(counts.recoveries) +
+      params_.lut_lookup_pj * n(counts.lut_lookups) +
+      params_.lut_update_pj * n(counts.lut_writes) +
+      params_.memo_static_pj_per_cycle * n(counts.memo_latency_cycles);
+  t.baseline_pj =
+      op_energy(unit, v) * n(counts.ops) + recovery * n(counts.timing_errors);
+  return t;
+}
+
 } // namespace tmemo

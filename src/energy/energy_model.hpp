@@ -25,6 +25,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 
 #include "common/types.hpp"
 #include "fpu/opcode.hpp"
@@ -90,6 +91,41 @@ struct EnergyParams {
   Volt nominal_voltage = 0.9;
 };
 
+struct EnergyTotals;
+
+/// Per-unit event counts. EnergyModel::charge and charge_baseline are
+/// linear in these, so counting events per record and evaluating the sum
+/// once (EnergyModel::energy) gives the summed per-record charges, up to
+/// float summation order.
+struct EnergyCounts {
+  std::uint64_t ops = 0;
+  std::uint64_t timing_errors = 0;       ///< EDS flags (baseline recoveries)
+  std::uint64_t recoveries = 0;          ///< memoized-design ECU recoveries
+  std::uint64_t active_stage_cycles = 0;
+  std::uint64_t gated_stage_cycles = 0;
+  std::uint64_t spatial_compares = 0;
+  std::uint64_t spatial_reuses = 0;
+  // Memoization-module events, counted only while the module is powered.
+  std::uint64_t lut_lookups = 0;
+  std::uint64_t lut_writes = 0;
+  std::uint64_t memo_latency_cycles = 0;
+
+  void add(const ExecutionRecord& rec) noexcept {
+    ++ops;
+    timing_errors += rec.timing_error ? 1 : 0;
+    recoveries += rec.recovered ? 1 : 0;
+    active_stage_cycles += static_cast<std::uint64_t>(rec.active_stage_cycles);
+    gated_stage_cycles += static_cast<std::uint64_t>(rec.gated_stage_cycles);
+    spatial_compares += static_cast<std::uint64_t>(rec.spatial_compares);
+    spatial_reuses += rec.spatial_reuse ? 1 : 0;
+    if (rec.memo_enabled) {
+      lut_lookups += static_cast<std::uint64_t>(rec.lut_lookups);
+      lut_writes += static_cast<std::uint64_t>(rec.lut_writes);
+      memo_latency_cycles += static_cast<std::uint64_t>(rec.latency_cycles);
+    }
+  }
+};
+
 /// Converts ExecutionRecords into energy, with optional voltage scaling.
 class EnergyModel {
  public:
@@ -126,6 +162,12 @@ class EnergyModel {
   [[nodiscard]] EnergyPj charge_baseline(const ExecutionRecord& rec) const {
     return charge_baseline(rec, params_.nominal_voltage);
   }
+
+  /// Memoized and baseline energy of the events in `counts`, all on
+  /// `unit`-type FPUs at supply `v`: Σ charge and Σ charge_baseline over
+  /// the records they were counted from.
+  [[nodiscard]] EnergyTotals energy(FpuType unit, const EnergyCounts& counts,
+                                    Volt v) const;
 
  private:
   EnergyParams params_;

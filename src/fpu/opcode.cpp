@@ -2,33 +2,6 @@
 
 namespace tmemo {
 
-int opcode_arity(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kFloor:
-    case FpOpcode::kCeil:
-    case FpOpcode::kTrunc:
-    case FpOpcode::kRndNe:
-    case FpOpcode::kFract:
-    case FpOpcode::kAbs:
-    case FpOpcode::kNeg:
-    case FpOpcode::kSqrt:
-    case FpOpcode::kRsqrt:
-    case FpOpcode::kRecip:
-    case FpOpcode::kSin:
-    case FpOpcode::kCos:
-    case FpOpcode::kExp2:
-    case FpOpcode::kLog2:
-    case FpOpcode::kFp2Int:
-    case FpOpcode::kInt2Fp:
-      return 1;
-    case FpOpcode::kMulAdd:
-    case FpOpcode::kCndGe:
-      return 3;
-    default:
-      return 2;
-  }
-}
-
 FpuType opcode_unit(FpOpcode op) noexcept {
   switch (op) {
     case FpOpcode::kMul:
@@ -54,21 +27,6 @@ FpuType opcode_unit(FpOpcode op) noexcept {
       // add/sub, compares, min/max, rounding, abs/neg, conditional move all
       // share the adder/compare datapath.
       return FpuType::kAdd;
-  }
-}
-
-bool opcode_commutative(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kAdd:
-    case FpOpcode::kMul:
-    case FpOpcode::kMulAdd: // the a*b multiplicand pair commutes
-    case FpOpcode::kMin:
-    case FpOpcode::kMax:
-    case FpOpcode::kSetE:
-    case FpOpcode::kSetNe:
-      return true;
-    default:
-      return false;
   }
 }
 

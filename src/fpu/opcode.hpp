@@ -81,8 +81,34 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
     FpuType::kRecip,  FpuType::kMulAdd, FpuType::kFp2Int,
 };
 
-/// Number of float source operands the opcode consumes (1..3).
-[[nodiscard]] int opcode_arity(FpOpcode op) noexcept;
+/// Number of float source operands the opcode consumes (1..3). Defined
+/// here so the LUT comparators inline it.
+[[nodiscard]] inline int opcode_arity(FpOpcode op) noexcept {
+  switch (op) {
+    case FpOpcode::kFloor:
+    case FpOpcode::kCeil:
+    case FpOpcode::kTrunc:
+    case FpOpcode::kRndNe:
+    case FpOpcode::kFract:
+    case FpOpcode::kAbs:
+    case FpOpcode::kNeg:
+    case FpOpcode::kSqrt:
+    case FpOpcode::kRsqrt:
+    case FpOpcode::kRecip:
+    case FpOpcode::kSin:
+    case FpOpcode::kCos:
+    case FpOpcode::kExp2:
+    case FpOpcode::kLog2:
+    case FpOpcode::kFp2Int:
+    case FpOpcode::kInt2Fp:
+      return 1;
+    case FpOpcode::kMulAdd:
+    case FpOpcode::kCndGe:
+      return 3;
+    default:
+      return 2;
+  }
+}
 
 /// Physical FPU type that executes the opcode.
 [[nodiscard]] FpuType opcode_unit(FpOpcode op) noexcept;
@@ -91,7 +117,20 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
 /// (ADD, MUL, MIN, MAX, SETE, SETNE, and the multiplicand pair of MULADD).
 /// The LUT comparators exploit this (paper §4.2: "allow commutativity of
 /// the operands where applicable").
-[[nodiscard]] bool opcode_commutative(FpOpcode op) noexcept;
+[[nodiscard]] inline bool opcode_commutative(FpOpcode op) noexcept {
+  switch (op) {
+    case FpOpcode::kAdd:
+    case FpOpcode::kMul:
+    case FpOpcode::kMulAdd: // the a*b multiplicand pair commutes
+    case FpOpcode::kMin:
+    case FpOpcode::kMax:
+    case FpOpcode::kSetE:
+    case FpOpcode::kSetNe:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// Mnemonic, e.g. "MULADD".
 [[nodiscard]] std::string_view opcode_name(FpOpcode op) noexcept;

@@ -61,6 +61,7 @@ void GpuDevice::set_error_model(
 
 void GpuDevice::set_fpu_supply(Volt v) {
   TM_REQUIRE(v > 0.0, "supply voltage must be positive");
+  accumulator_.fold();
   supply_ = v;
 }
 

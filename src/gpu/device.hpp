@@ -23,39 +23,50 @@ namespace tmemo {
 
 class GpuDevice;
 
-/// Per-unit-type and overall energy accumulation. Every record is charged
-/// twice — once for the memoized architecture, once for the baseline — so a
-/// single simulation yields a paired comparison with identical error draws.
+/// Per-unit-type and overall energy accumulation. consume() only counts
+/// each record's energy events per FPU type (EnergyCounts); total() and
+/// unit() evaluate those counts once, for the memoized architecture and
+/// for the baseline, so a single simulation still yields a paired
+/// comparison with identical error draws. A supply change folds the counts
+/// so far into float totals at the old supply (fold()).
 ///
 /// Holds a pointer to its owning device and reads the energy model and the
-/// live FPU supply through it per record; the device's copy/move operations
-/// rebind the pointer, so a moved or copied device never leaves the
-/// accumulator referencing a dead object.
+/// live FPU supply through it; the device's move operations rebind the
+/// pointer, so a moved device never leaves the accumulator referencing a
+/// dead object.
 class EnergyAccumulator final : public ExecutionSink {
  public:
   explicit EnergyAccumulator(const GpuDevice* device) noexcept
       : device_(device) {}
 
-  void consume(const ExecutionRecord& rec) override; // inline, below GpuDevice
+  void consume(const ExecutionRecord& rec) override {
+    pending_[static_cast<std::size_t>(rec.unit)].add(rec);
+  }
 
   [[nodiscard]] EnergyTotals total(std::span<const FpuType> units) const {
     EnergyTotals t;
-    for (FpuType u : units) t += per_unit_[static_cast<std::size_t>(u)];
+    for (FpuType u : units) t += unit(u);
     return t;
   }
 
-  [[nodiscard]] const EnergyTotals& unit(FpuType u) const noexcept {
-    return per_unit_[static_cast<std::size_t>(u)];
-  }
+  [[nodiscard]] EnergyTotals unit(FpuType u) const; // inline, below GpuDevice
 
-  void reset() noexcept { per_unit_ = {}; }
+  /// Adds the pending counts' energy at the device's current supply to the
+  /// float totals and clears the counts.
+  void fold();
+
+  void reset() noexcept {
+    pending_ = {};
+    folded_ = {};
+  }
 
   /// Re-points the accumulator at its owning device.
   void rebind(const GpuDevice* device) noexcept { device_ = device; }
 
  private:
   const GpuDevice* device_;
-  std::array<EnergyTotals, kNumFpuTypes> per_unit_{};
+  std::array<EnergyCounts, kNumFpuTypes> pending_{};
+  std::array<EnergyTotals, kNumFpuTypes> folded_{};
 };
 
 class GpuDevice {
@@ -84,7 +95,8 @@ class GpuDevice {
   }
 
   /// FPU supply voltage used by the energy accumulator (the memoization
-  /// module itself always stays at the nominal supply).
+  /// module itself always stays at the nominal supply). Energy of the ops
+  /// run so far stays at the supply they ran at.
   void set_fpu_supply(Volt v);
   [[nodiscard]] Volt fpu_supply() const noexcept { return supply_; }
 
@@ -149,7 +161,7 @@ class GpuDevice {
       std::span<const FpuType> units = kReportedFpuTypes) const {
     return accumulator_.total(units);
   }
-  [[nodiscard]] const EnergyTotals& unit_energy(FpuType u) const noexcept {
+  [[nodiscard]] EnergyTotals unit_energy(FpuType u) const {
     return accumulator_.unit(u);
   }
 
@@ -167,12 +179,19 @@ class GpuDevice {
   telemetry::ProbeSink* telemetry_ = nullptr;
 };
 
-inline void EnergyAccumulator::consume(const ExecutionRecord& rec) {
-  const std::size_t u = static_cast<std::size_t>(rec.unit);
-  const EnergyModel& model = device_->energy_model();
-  const Volt supply = device_->fpu_supply();
-  per_unit_[u].memoized_pj += model.charge(rec, supply);
-  per_unit_[u].baseline_pj += model.charge_baseline(rec, supply);
+inline EnergyTotals EnergyAccumulator::unit(FpuType u) const {
+  const auto i = static_cast<std::size_t>(u);
+  EnergyTotals t = folded_[i];
+  t += device_->energy_model().energy(u, pending_[i], device_->fpu_supply());
+  return t;
+}
+
+inline void EnergyAccumulator::fold() {
+  for (FpuType u : kAllFpuTypes) {
+    const auto i = static_cast<std::size_t>(u);
+    folded_[i] = unit(u);
+    pending_[i] = {};
+  }
 }
 
 } // namespace tmemo

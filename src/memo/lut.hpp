@@ -9,12 +9,17 @@
 // Replacement is strict FIFO (paper: "the FIFO will be updated by cleaning
 // its last entry and inserting the new incoming operands accordingly") —
 // not LRU: a hit does not reorder entries.
+//
+// Storage is a flat ring that grows with occupancy up to the depth, so a
+// deep FIFO (bench/fifo_size_sweep goes to 4096) costs nothing until it is
+// filled, and a full FIFO evicts by overwriting its oldest slot.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "common/require.hpp"
 #include "fpu/instruction.hpp"
@@ -72,7 +77,14 @@ class MemoLut {
 
   [[nodiscard]] int depth() const noexcept { return depth_; }
   [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(fifo_.size());
+    return static_cast<int>(ring_.size());
+  }
+
+  /// The entry at FIFO position `i`, 0 = newest .. size() - 1 = oldest
+  /// (exposed for tests/inspection).
+  [[nodiscard]] const LutEntry& entry(int i) const {
+    TM_REQUIRE(i >= 0 && i < size(), "LUT entry index out of range");
+    return ring_[slot(i)];
   }
 
   /// Outcome of one associative lookup, including whether the matched line
@@ -85,7 +97,7 @@ class MemoLut {
   };
 
   /// Single-cycle associative lookup: returns the memorized result of the
-  /// first (oldest-first) entry whose opcode matches exactly and whose
+  /// first (newest-first) entry whose opcode matches exactly and whose
   /// operands satisfy `constraint`, or nullopt on a miss. Counts stats.
   [[nodiscard]] std::optional<float> lookup(const FpInstruction& ins,
                                             const MatchConstraint& constraint);
@@ -110,7 +122,10 @@ class MemoLut {
   void preload(const LutEntry& entry);
 
   /// Drops all entries (power-gating the module clears its state).
-  void clear() noexcept { fifo_.clear(); }
+  void clear() noexcept {
+    ring_.clear();
+    head_ = 0;
+  }
 
   /// Fault-injection seam (src/inject/lut_injector.hpp): flips one bit of
   /// one stored word of the entry at `entry_index` (0 = newest). `word`
@@ -128,16 +143,22 @@ class MemoLut {
   [[nodiscard]] const LutStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  /// Entries in FIFO order, newest first (exposed for tests/inspection).
-  [[nodiscard]] const std::deque<LutEntry>& entries() const noexcept {
-    return fifo_;
+ private:
+  /// Ring slot of FIFO position `i` (0 = newest).
+  [[nodiscard]] std::size_t slot(int i) const noexcept {
+    const auto k = static_cast<std::size_t>(i);
+    return k <= head_ ? head_ - k : head_ + ring_.size() - k;
   }
 
- private:
   void push(const LutEntry& entry);
+  void drop_parity_failures();
 
   int depth_;
-  std::deque<LutEntry> fifo_; // front = newest
+  // While ring_.size() < depth_ the entries sit oldest-to-newest in slots
+  // 0..size-1; once full, head_ advances modulo depth_ and overwrites the
+  // oldest slot. Either way head_ is the newest entry's slot.
+  std::vector<LutEntry> ring_;
+  std::size_t head_ = 0;
   LutStats stats_;
   bool parity_protected_ = false;
 };

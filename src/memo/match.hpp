@@ -15,10 +15,13 @@
 // implements the bit-mask view the hardware comparators actually compute.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 #include "common/bits.hpp"
+#include "common/require.hpp"
 #include "fpu/instruction.hpp"
 #include "fpu/opcode.hpp"
 
@@ -66,15 +69,51 @@ class MatchConstraint {
 
   /// True when `incoming` matches `stored` for opcode `op` under this
   /// constraint. Both spans must hold at least opcode_arity(op) values.
+  /// Defined in the header: the LUT evaluates it for every stored entry of
+  /// every lookup, so it must inline into MemoLut::lookup_checked.
   [[nodiscard]] bool operands_match(FpOpcode op,
                                     std::span<const float> stored,
-                                    std::span<const float> incoming) const;
+                                    std::span<const float> incoming) const {
+    const int arity = opcode_arity(op);
+    TM_REQUIRE(static_cast<int>(stored.size()) >= arity &&
+                   static_cast<int>(incoming.size()) >= arity,
+               "operand spans shorter than opcode arity");
+
+    auto all_match = [&](bool swapped) {
+      for (int i = 0; i < arity; ++i) {
+        int j = i;
+        if (swapped && i < 2) j = 1 - i; // swap the first operand pair only
+        if (!value_match(incoming[static_cast<std::size_t>(i)],
+                         stored[static_cast<std::size_t>(j)])) {
+          return false;
+        }
+      }
+      return true;
+    };
+
+    if (all_match(/*swapped=*/false)) return true;
+    if (commutative_ && arity >= 2 && opcode_commutative(op)) {
+      return all_match(/*swapped=*/true);
+    }
+    return false;
+  }
 
  private:
   MatchConstraint(Kind kind, float threshold, std::uint32_t mask) noexcept
       : kind_(kind), threshold_(threshold), mask_(mask) {}
 
-  [[nodiscard]] bool value_match(float a, float b) const noexcept;
+  [[nodiscard]] bool value_match(float a, float b) const noexcept {
+    switch (kind_) {
+      case Kind::kExact:
+        return float_to_bits(a) == float_to_bits(b);
+      case Kind::kThreshold:
+        return within_threshold(a, b, threshold_);
+      case Kind::kMask:
+        if (std::isnan(a) || std::isnan(b)) return false;
+        return masked_equal(a, b, mask_);
+    }
+    return false;
+  }
 
   Kind kind_;
   float threshold_;

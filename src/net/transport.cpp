@@ -27,6 +27,14 @@ bool set_nonblocking(int fd) {
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != -1;
 }
 
+/// Sets TCP_NODELAY; false when setsockopt fails. Every fabric message is
+/// one small frame answered by the peer, so Nagle's algorithm plus the
+/// peer's delayed ACK would stall each exchange.
+bool set_nodelay(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0;
+}
+
 /// Closes an fd, retrying EINTR; close failure past EINTR is unrecoverable
 /// and deliberately ignored (the fd is gone either way).
 void close_fd(int fd) {
@@ -161,7 +169,7 @@ int Listener::accept_one() {
   for (;;) {
     const int fd = ::accept(fd_, nullptr, nullptr);
     if (fd >= 0) {
-      if (!set_nonblocking(fd)) {
+      if (!set_nonblocking(fd) || !set_nodelay(fd)) {
         close_fd(fd);
         return -1;
       }
@@ -256,6 +264,11 @@ int connect_to(const HostPort& to, int timeout_ms, std::string& error) {
     if (flags == -1 ||
         ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) == -1) {
       error = "fcntl(restore blocking): " + errno_text();
+      close_fd(fd);
+      continue;
+    }
+    if (!set_nodelay(fd)) {
+      error = "setsockopt(TCP_NODELAY): " + errno_text();
       close_fd(fd);
       continue;
     }

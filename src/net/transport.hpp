@@ -30,7 +30,8 @@ struct HostPort {
     std::string_view text, bool allow_ephemeral = false);
 
 /// Listening TCP socket for the campaign supervisor. The listener fd and
-/// every accepted connection are O_NONBLOCK, ready for one poll() loop.
+/// every accepted connection are O_NONBLOCK, ready for one poll() loop;
+/// accepted connections also carry TCP_NODELAY.
 class Listener {
  public:
   Listener() = default;
@@ -60,8 +61,8 @@ class Listener {
 };
 
 /// Blocking TCP connect with a wall-clock budget. Returns the connected
-/// (blocking-mode) fd, or -1 with a diagnostic in `error`. Each resolved
-/// address gets up to `timeout_ms` before the next is tried.
+/// (blocking-mode, TCP_NODELAY) fd, or -1 with a diagnostic in `error`.
+/// Each resolved address gets up to `timeout_ms` before the next is tried.
 [[nodiscard]] int connect_to(const HostPort& to, int timeout_ms,
                              std::string& error);
 

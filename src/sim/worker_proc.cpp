@@ -378,7 +378,14 @@ class ProcessSupervisor {
         if (s.kind == WorkerSlot::Kind::kPipe) {
           reap(s);
         } else {
-          disconnect(s, "remote worker disconnected (connection lost)");
+          // A draining workerd says goodbye and closes; the write fails
+          // once its close resets the connection, but the goodbye may
+          // already be waiting unread. Honor it before calling the
+          // connection lost.
+          drain(s);
+          if (s.live) {
+            disconnect(s, "remote worker disconnected (connection lost)");
+          }
         }
       }
     }

@@ -13,10 +13,10 @@ VoltageErrorModel::VoltageErrorModel(VoltageScaling scaling, Volt supply)
     : scaling_(scaling), supply_(supply) {
   TM_REQUIRE(supply > scaling_.params().threshold_voltage,
              "supply must stay above the threshold voltage");
-}
-
-double VoltageErrorModel::op_error_probability(FpuType unit) const {
-  return scaling_.op_error_probability(supply_, fpu_latency_cycles(unit));
+  for (FpuType unit : kAllFpuTypes) {
+    op_error_[static_cast<std::size_t>(unit)] =
+        scaling_.op_error_probability(supply_, fpu_latency_cycles(unit));
+  }
 }
 
 } // namespace tmemo

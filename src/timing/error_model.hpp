@@ -11,6 +11,8 @@
 //    delay model in timing/voltage.hpp at the configured supply voltage.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -61,11 +63,17 @@ class FixedRateErrorModel final : public TimingErrorModel {
 /// scaled by the alpha-power law, aggregated over the unit's pipeline
 /// depth. Deeper pipelines (RECIP: 16 stages) see proportionally more
 /// errors, as the paper argues in §1.
+///
+/// The probability depends only on (supply, unit), so the constructor
+/// evaluates VoltageScaling::op_error_probability once per FpuType and
+/// every per-op draw is a table read of the same value.
 class VoltageErrorModel final : public TimingErrorModel {
  public:
   VoltageErrorModel(VoltageScaling scaling, Volt supply);
 
-  [[nodiscard]] double op_error_probability(FpuType unit) const override;
+  [[nodiscard]] double op_error_probability(FpuType unit) const override {
+    return op_error_[static_cast<std::size_t>(unit)];
+  }
   [[nodiscard]] Volt supply() const noexcept { return supply_; }
   [[nodiscard]] const VoltageScaling& scaling() const noexcept {
     return scaling_;
@@ -74,6 +82,7 @@ class VoltageErrorModel final : public TimingErrorModel {
  private:
   VoltageScaling scaling_;
   Volt supply_;
+  std::array<double, kNumFpuTypes> op_error_{};
 };
 
 } // namespace tmemo

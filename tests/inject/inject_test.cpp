@@ -78,10 +78,10 @@ TEST(LutFaultInjector, SameSeedSameUpsetSequence) {
   }
   EXPECT_EQ(a.stats().upsets_drawn, b.stats().upsets_drawn);
   EXPECT_EQ(a.stats().bits_flipped, b.stats().bits_flipped);
-  ASSERT_EQ(lut_a.entries().size(), lut_b.entries().size());
-  for (std::size_t i = 0; i < lut_a.entries().size(); ++i) {
-    const LutEntry& ea = lut_a.entries()[i];
-    const LutEntry& eb = lut_b.entries()[i];
+  ASSERT_EQ(lut_a.size(), lut_b.size());
+  for (int i = 0; i < lut_a.size(); ++i) {
+    const LutEntry& ea = lut_a.entry(i);
+    const LutEntry& eb = lut_b.entry(i);
     EXPECT_EQ(float_to_bits(ea.result), float_to_bits(eb.result));
     EXPECT_EQ(ea.seu_flips, eb.seu_flips);
     for (int w = 0; w < kMaxOperands; ++w) {
@@ -106,7 +106,7 @@ TEST(LutFaultInjector, DisabledInjectorNeverTouchesItsRng) {
   Xorshift128 fresh(seed);
   EXPECT_EQ(idle.rng().next_u64(), fresh.next_u64());
   // Every entry is still pristine.
-  for (const LutEntry& e : lut.entries()) EXPECT_FALSE(e.corrupted());
+  for (int i = 0; i < lut.size(); ++i) EXPECT_FALSE(lut.entry(i).corrupted());
 }
 
 TEST(LutFaultInjector, PoissonArrivalsLandOnLiveEntriesOnly) {
@@ -138,9 +138,9 @@ TEST(LutFaultInjector, PoissonArrivalsLandOnLiveEntriesOnly) {
 TEST(MemoLut, CorruptBitFlipsStoredWordAndMarksEntry) {
   MemoLut lut(2);
   lut.update(ins(FpOpcode::kAdd, 1.0f, 2.0f), 3.0f);
-  const std::uint32_t before = float_to_bits(lut.entries().front().result);
+  const std::uint32_t before = float_to_bits(lut.entry(0).result);
   lut.corrupt_bit(/*entry_index=*/0, /*word=*/kMaxOperands, /*bit=*/5);
-  const LutEntry& e = lut.entries().front();
+  const LutEntry& e = lut.entry(0);
   EXPECT_TRUE(e.corrupted());
   EXPECT_EQ(e.seu_flips, 1);
   EXPECT_EQ(float_to_bits(e.result), before ^ (1u << 5));

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <string>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "net/frame.hpp"
@@ -115,6 +118,30 @@ TEST(Listener, ConnectAcceptAndFrameRoundTrip) {
   ASSERT_TRUE(read_frame(client, payload));
   EXPECT_EQ(payload, "and back");
 
+  ::close(client);
+  ::close(accepted);
+}
+
+TEST(Listener, BothEndsDisableNagle) {
+  // Every fabric exchange is one small frame and its reply; without
+  // TCP_NODELAY, Nagle's algorithm and the peer's delayed ACK stall each
+  // one. Both the accepted and the connected end must carry the option.
+  Listener listener;
+  listener.open({"127.0.0.1", 0});
+  std::string error;
+  const int client =
+      connect_to({"127.0.0.1", listener.bound_port()}, 5000, error);
+  ASSERT_GE(client, 0) << error;
+  ASSERT_TRUE(wait_readable(listener.fd()));
+  const int accepted = listener.accept_one();
+  ASSERT_GE(accepted, 0);
+
+  for (const int fd : {client, accepted}) {
+    int nodelay = 0;
+    socklen_t len = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_EQ(nodelay, 1);
+  }
   ::close(client);
   ::close(accepted);
 }

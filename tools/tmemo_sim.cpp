@@ -56,7 +56,7 @@
 //             --inject-parity --csv              # see FAULT_INJECTION.md
 //   tmemo_sim --kernel all --sweep error-rate:0:0.04:9 --journal run.journal
 //   tmemo_sim --kernel all --sweep error-rate:0:0.04:9 --resume run.journal
-//   tmemo_sim --kernel all --sweep error-rate:0:0.04:9 \
+//   tmemo_sim --kernel all --sweep error-rate:0:0.04:9
 //             --isolation remote --listen 127.0.0.1:7070   # DISTRIBUTED.md
 #include <cstdio>
 #include <cstdlib>

@@ -35,11 +35,11 @@
 // "supervisor went away" from "this worker's disk is broken".
 //
 // Example — two workers serving one supervisor on loopback:
-//   tmemo_sim --kernel all --sweep error-rate:0:0.04:9 \
+//   tmemo_sim --kernel all --sweep error-rate:0:0.04:9
 //             --isolation remote --listen 127.0.0.1:7070 &
-//   tmemo_workerd --connect 127.0.0.1:7070 --kernel all \
+//   tmemo_workerd --connect 127.0.0.1:7070 --kernel all
 //                 --sweep error-rate:0:0.04:9 --journal shard-a.journal &
-//   tmemo_workerd --connect 127.0.0.1:7070 --kernel all \
+//   tmemo_workerd --connect 127.0.0.1:7070 --kernel all
 //                 --sweep error-rate:0:0.04:9 --journal shard-b.journal &
 #include <csignal>
 #include <cstdio>
