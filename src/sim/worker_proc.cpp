@@ -230,10 +230,10 @@ class ProcessSupervisor {
   }
 
   void note(const char* name, const WorkerSlot& s,
-            std::vector<std::pair<std::string, std::uint64_t>> args) {
+            const telemetry::TimelineArgs& args) {
     if (!timeline_) return;
     telemetry::record_supervision_event(*timeline_, name, s.id, seq_++,
-                                        std::move(args));
+                                        args);
   }
 
   /// Keeps live pipe workers matched to remaining work; a fork after the

@@ -2,19 +2,47 @@
 
 #include <string>
 
-#include "fpu/opcode.hpp"
 #include "memo/module.hpp"
 
 namespace tmemo::telemetry {
 
 namespace {
 
-std::string unit_metric(std::string_view unit_name, const char* suffix) {
-  std::string s = "fpu.";
-  s += unit_name;
-  s += suffix;
-  return s;
-}
+constexpr std::array<std::string_view, 16> kCounterNames = {
+    "sim.wavefront_issues",
+    "memo.lut.hits",
+    "memo.lut.misses",
+    "memo.lut.writes",
+    "timing.eds_errors",
+    "timing.masked_errors",
+    "timing.ecu.replays",
+    "timing.ecu.replay_cycles",
+    "memo.spatial.reuses",
+    "sim.lanes_executed",
+    "inject.lut.seu_flips",
+    "inject.lut.parity_invalidations",
+    "inject.eds.false_negatives",
+    "inject.eds.false_positives",
+    "inject.watchdog.trips",
+    "inject.sdc.committed_ops",
+};
+
+struct HistogramDef {
+  std::string_view name;
+  HistogramSpec spec;
+};
+
+const std::array<HistogramDef, 4> kHistograms = {{
+    // 65 buckets so a full 64-lane wavefront (the common case) gets its
+    // own bucket [64,65) instead of landing in overflow.
+    {"sim.wavefront_active_lanes", HistogramSpec::linear(0, 65, 65)},
+    {"fpu.op_latency_cycles", HistogramSpec::log2()},
+    {"memo.replay_burst_len", HistogramSpec::log2()},
+    {"core.hit_rate_permille", HistogramSpec::linear(0, 1000, 50)},
+}};
+
+constexpr std::array<std::string_view, 3> kUnitSuffixes = {
+    ".hits", ".misses", ".ops"};
 
 std::string_view unit_name(std::uint8_t unit) {
   return fpu_type_name(static_cast<FpuType>(unit));
@@ -22,39 +50,75 @@ std::string_view unit_name(std::uint8_t unit) {
 
 } // namespace
 
-void record_supervision_event(
-    Timeline& timeline, std::string name, std::uint32_t worker,
-    std::uint64_t seq,
-    std::vector<std::pair<std::string, std::uint64_t>> args) {
+void record_supervision_event(Timeline& timeline, std::string_view name,
+                              std::uint32_t worker, std::uint64_t seq,
+                              const TimelineArgs& args) {
   TimelineEvent ev;
   ev.phase = TimelineEvent::Phase::kInstant;
-  ev.name = std::move(name);
+  ev.name = name;
   ev.category = "campaign";
   ev.pid = worker;
   ev.tid = 0;
   ev.ts = seq;
-  ev.args = std::move(args);
-  timeline.instant(std::move(ev));
+  ev.args = args;
+  timeline.instant(ev);
 }
 
 TelemetryCollector::TelemetryCollector(CollectorConfig config) {
+  static_assert(kCounterNames.size() == kNumCounterSlots);
+  static_assert(kNumCounterSlots <= 32, "fired_ holds one bit per slot");
+  static_assert(kHistograms.size() == kNumHistogramSlots);
+  static_assert(kUnitSuffixes.size() == kNumUnitSlots);
+  static_assert(static_cast<std::size_t>(MemoAction::kReuseMaskError) + 2 ==
+                kActionIndices);
   if (config.timeline) {
     timeline_ = std::make_shared<Timeline>(config.timeline_max_events);
   }
 }
 
+Histogram& TelemetryCollector::resolve_histogram(HistogramSlot slot) {
+  histograms_[slot] =
+      &registry_.histogram(kHistograms[slot].name, kHistograms[slot].spec);
+  return *histograms_[slot];
+}
+
+TelemetryCollector::CoreState& TelemetryCollector::grow_core_state(
+    const ProbeEvent& e) {
+  if (e.cu >= cores_.size()) cores_.resize(e.cu + std::size_t{1});
+  std::vector<CoreState>& cu = cores_[e.cu];
+  if (e.core >= cu.size()) cu.resize(e.core + std::size_t{1});
+  return cu[e.core];
+}
+
+TelemetryCollector::PendingOp& TelemetryCollector::pending(std::uint32_t cu) {
+  if (cu >= pending_.size()) [[unlikely]] pending_.resize(cu + std::size_t{1});
+  PendingOp& op = pending_[cu];
+  op.seen = true;
+  return op;
+}
+
+void TelemetryCollector::record_instant(const ProbeEvent& e,
+                                        std::string_view name,
+                                        std::string_view category,
+                                        std::string_view arg_key) {
+  TimelineEvent ev;
+  ev.phase = TimelineEvent::Phase::kInstant;
+  ev.name = name;
+  ev.category = category;
+  ev.pid = e.cu;
+  ev.tid = e.core;
+  ev.ts = tick_;
+  if (!arg_key.empty()) ev.args.emplace_back(arg_key, e.value);
+  timeline_->instant(ev);
+}
+
 void TelemetryCollector::on_event(const ProbeEvent& e) {
-  MetricRegistry& reg = registry_;
   switch (e.kind) {
     case ProbeEvent::Kind::kWavefrontIssue: {
-      reg.counter("sim.wavefront_issues").add();
-      // 65 buckets so a full 64-lane wavefront (the common case) gets its
-      // own bucket [64,65) instead of landing in overflow.
-      reg.histogram("sim.wavefront_active_lanes",
-                    HistogramSpec::linear(0, 65, 65))
-          .record(e.value);
+      ++counts_[kWavefrontIssues];
+      histogram(kActiveLanes).record(e.value);
       if (timeline_) {
-        PendingOp& op = pending_[e.cu];
+        PendingOp& op = pending(e.cu);
         flush_op(e.cu, op);
         op.active = true;
         op.start_tick = tick_;
@@ -66,111 +130,81 @@ void TelemetryCollector::on_event(const ProbeEvent& e) {
     case ProbeEvent::Kind::kLutHit:
     case ProbeEvent::Kind::kLutMiss: {
       const bool hit = e.kind == ProbeEvent::Kind::kLutHit;
-      reg.counter(hit ? "memo.lut.hits" : "memo.lut.misses").add();
-      reg.counter(unit_metric(unit_name(e.unit), hit ? ".hits" : ".misses"))
-          .add();
+      ++counts_[hit ? kLutHits : kLutMisses];
+      ++unit_counts_[hit ? kUnitHits : kUnitMisses][unit_index(e.unit)];
       CoreState& core = core_state(e);
       ++core.lut_lookups;
       core.lut_hits += hit ? 1 : 0;
       if (timeline_) {
-        PendingOp& op = pending_[e.cu];
+        PendingOp& op = pending(e.cu);
         ++(hit ? op.hits : op.misses);
         ++(hit ? op.cum_hits : op.cum_misses);
       }
       break;
     }
     case ProbeEvent::Kind::kLutWrite:
-      reg.counter("memo.lut.writes").add();
+      ++counts_[kLutWrites];
       break;
-    case ProbeEvent::Kind::kEdsError: {
-      reg.counter("timing.eds_errors").add();
+    case ProbeEvent::Kind::kEdsError:
+      ++counts_[kEdsErrors];
       if (timeline_) {
-        ++pending_[e.cu].errors;
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "eds_error";
-        ev.category = "timing";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        timeline_->instant(std::move(ev));
+        ++pending(e.cu).errors;
+        record_instant(e, "eds_error", "timing", {});
       }
       break;
-    }
     case ProbeEvent::Kind::kErrorMasked:
-      reg.counter("timing.masked_errors").add();
+      ++counts_[kMaskedErrors];
       break;
-    case ProbeEvent::Kind::kEcuReplay: {
-      reg.counter("timing.ecu.replays").add();
-      reg.counter("timing.ecu.replay_cycles").add(e.value);
+    case ProbeEvent::Kind::kEcuReplay:
+      ++counts_[kEcuReplays];
+      add(kEcuReplayCycles, e.value);
       core_state(e).replay_in_op = true;
       if (timeline_) {
-        ++pending_[e.cu].replays;
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "ecu_replay";
-        ev.category = "timing";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        ev.args.emplace_back("cycles", e.value);
-        timeline_->instant(std::move(ev));
+        ++pending(e.cu).replays;
+        record_instant(e, "ecu_replay", "timing", "cycles");
       }
       break;
-    }
     case ProbeEvent::Kind::kSpatialReuse:
-      reg.counter("memo.spatial.reuses").add();
-      reg.counter("sim.lanes_executed").add();
+      ++counts_[kSpatialReuses];
+      ++counts_[kLanesExecuted];
       ++tick_;
       break;
     case ProbeEvent::Kind::kOpRetired: {
-      reg.counter("sim.lanes_executed").add();
-      reg.counter(unit_metric(unit_name(e.unit), ".ops")).add();
-      reg.counter(memo_action_metric_name(static_cast<MemoAction>(e.aux)))
-          .add();
-      reg.histogram("fpu.op_latency_cycles", HistogramSpec::log2())
-          .record(e.value);
+      ++counts_[kLanesExecuted];
+      ++unit_counts_[kUnitOps][unit_index(e.unit)];
+      ++action_counts_[action_index(e.aux)];
+      histogram(kOpLatency).record(e.value);
       CoreState& core = core_state(e);
       if (core.replay_in_op) {
         core.replay_in_op = false;
         ++core.replay_burst;
       } else if (core.replay_burst > 0) {
-        reg.histogram("memo.replay_burst_len", HistogramSpec::log2())
-            .record(core.replay_burst);
+        histogram(kReplayBurst).record(core.replay_burst);
         core.replay_burst = 0;
       }
       ++tick_;
       break;
     }
     case ProbeEvent::Kind::kLutSeuFlip:
-      reg.counter("inject.lut.seu_flips").add(e.value);
+      add(kSeuFlips, e.value);
       break;
     case ProbeEvent::Kind::kLutParityDrop:
-      reg.counter("inject.lut.parity_invalidations").add(e.value);
+      add(kParityInvalidations, e.value);
       break;
     case ProbeEvent::Kind::kEdsFalseNegative:
-      reg.counter("inject.eds.false_negatives").add();
+      ++counts_[kEdsFalseNegatives];
       break;
     case ProbeEvent::Kind::kEdsFalsePositive:
-      reg.counter("inject.eds.false_positives").add();
+      ++counts_[kEdsFalsePositives];
       break;
-    case ProbeEvent::Kind::kWatchdogTrip: {
-      reg.counter("inject.watchdog.trips").add();
+    case ProbeEvent::Kind::kWatchdogTrip:
+      ++counts_[kWatchdogTrips];
       if (timeline_) {
-        TimelineEvent ev;
-        ev.phase = TimelineEvent::Phase::kInstant;
-        ev.name = "watchdog_trip";
-        ev.category = "inject";
-        ev.pid = e.cu;
-        ev.tid = e.core;
-        ev.ts = tick_;
-        ev.args.emplace_back("recovery_cycles", e.value);
-        timeline_->instant(std::move(ev));
+        record_instant(e, "watchdog_trip", "inject", "recovery_cycles");
       }
       break;
-    }
     case ProbeEvent::Kind::kSdcCommit:
-      reg.counter("inject.sdc.committed_ops").add();
+      ++counts_[kSdcCommittedOps];
       break;
   }
 }
@@ -179,7 +213,7 @@ void TelemetryCollector::flush_op(std::uint32_t cu, PendingOp& op) {
   if (!op.active || !timeline_) return;
   TimelineEvent ev;
   ev.phase = TimelineEvent::Phase::kComplete;
-  ev.name = std::string(unit_name(op.unit));
+  ev.name = unit_name(op.unit);
   ev.category = "issue";
   ev.pid = cu;
   ev.tid = 0;
@@ -190,7 +224,7 @@ void TelemetryCollector::flush_op(std::uint32_t cu, PendingOp& op) {
   ev.args.emplace_back("lut_misses", op.misses);
   ev.args.emplace_back("eds_errors", op.errors);
   ev.args.emplace_back("ecu_replays", op.replays);
-  timeline_->complete(std::move(ev));
+  timeline_->complete(ev);
 
   TimelineEvent ctr;
   ctr.phase = TimelineEvent::Phase::kCounter;
@@ -201,39 +235,63 @@ void TelemetryCollector::flush_op(std::uint32_t cu, PendingOp& op) {
   ctr.ts = tick_;
   ctr.args.emplace_back("hits", op.cum_hits);
   ctr.args.emplace_back("misses", op.cum_misses);
-  timeline_->counter(std::move(ctr));
+  timeline_->counter(ctr);
 
   op.active = false;
   op.lanes = op.hits = op.misses = op.errors = op.replays = 0;
 }
 
+void TelemetryCollector::publish_counters() {
+  for (std::size_t i = 0; i < kNumCounterSlots; ++i) {
+    if (counts_[i] != 0 || ((fired_ >> i) & 1u) != 0) {
+      registry_.counter(kCounterNames[i]).add(counts_[i]);
+    }
+  }
+  for (std::size_t slot = 0; slot < kNumUnitSlots; ++slot) {
+    for (std::size_t unit = 0; unit < kUnitIndices; ++unit) {
+      if (unit_counts_[slot][unit] == 0) continue;
+      std::string name = "fpu.";
+      name += unit_name(static_cast<std::uint8_t>(unit));
+      name += kUnitSuffixes[slot];
+      registry_.counter(name).add(unit_counts_[slot][unit]);
+    }
+  }
+  for (std::size_t aux = 0; aux < kActionIndices; ++aux) {
+    if (action_counts_[aux] == 0) continue;
+    registry_
+        .counter(memo_action_metric_name(static_cast<MemoAction>(aux)))
+        .add(action_counts_[aux]);
+  }
+}
+
 MetricsSnapshot TelemetryCollector::finish() {
   if (!finished_) {
     finished_ = true;
-    // Flush per-core derived state in key order (deterministic).
-    for (auto& kv : cores_) {
-      CoreState& core = kv.second;
-      if (core.replay_in_op) {
-        core.replay_in_op = false;
-        ++core.replay_burst;
-      }
-      if (core.replay_burst > 0) {
-        registry_.histogram("memo.replay_burst_len", HistogramSpec::log2())
-            .record(core.replay_burst);
-        core.replay_burst = 0;
-      }
-      if (core.lut_lookups > 0) {
-        registry_
-            .histogram("core.hit_rate_permille",
-                       HistogramSpec::linear(0, 1000, 50))
-            .record(core.lut_hits * 1000 / core.lut_lookups);
+    publish_counters();
+    // Flush per-core derived state in (cu, core) order. A core no event
+    // touched is still all zeros and records nothing.
+    for (std::vector<CoreState>& cu : cores_) {
+      for (CoreState& core : cu) {
+        if (core.replay_in_op) {
+          core.replay_in_op = false;
+          ++core.replay_burst;
+        }
+        if (core.replay_burst > 0) {
+          histogram(kReplayBurst).record(core.replay_burst);
+          core.replay_burst = 0;
+        }
+        if (core.lut_lookups > 0) {
+          histogram(kHitRatePermille)
+              .record(core.lut_hits * 1000 / core.lut_lookups);
+        }
       }
     }
     if (timeline_) {
-      for (auto& kv : pending_) {
-        flush_op(kv.first, kv.second);
-        timeline_->set_process_name(
-            kv.first, "compute_unit " + std::to_string(kv.first));
+      for (std::uint32_t cu = 0; cu < pending_.size(); ++cu) {
+        if (!pending_[cu].seen) continue;
+        flush_op(cu, pending_[cu]);
+        timeline_->set_process_name(cu,
+                                    "compute_unit " + std::to_string(cu));
       }
       registry_.gauge("sim.timeline_dropped_events")
           .set(timeline_->dropped());

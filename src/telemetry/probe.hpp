@@ -7,15 +7,19 @@
 //    one perfectly predicted null-check branch; compiled with
 //    -DTMEMO_TELEMETRY_DISABLED the macro expands to nothing at all, so the
 //    event-construction expression is never evaluated.
-//  * This header is dependency-free (only <cstdint>) so the innermost
-//    layers — timing/ecu.hpp, memo/resilient_fpu.hpp — can include it
-//    without creating a link-time dependency on tm_telemetry.
-//  * ProbeEvent is a 16-byte POD passed by value. Emission order within one
-//    instruction transaction is fixed (lookup, error, action, retire), which
-//    is what lets the collector rebuild per-op state deterministically.
+//  * This header is dependency-free (only <cstdint> and <type_traits>) so
+//    the innermost layers — timing/ecu.hpp, memo/resilient_fpu.hpp — can
+//    include it without creating a link-time dependency on tm_telemetry.
+//  * ProbeEvent is a 24-byte trivially copyable struct: 17 bytes of fields
+//    and 7 of alignment padding (after `aux`, `core` and `cu`), built at
+//    the probe site and handed to the sink by const reference. Emission
+//    order within one instruction transaction is fixed (lookup, error,
+//    action, retire), which is what lets the collector rebuild per-op
+//    state deterministically.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 namespace tmemo::telemetry {
 
@@ -52,6 +56,8 @@ struct ProbeEvent {
   std::uint32_t cu = 0;   ///< compute unit
   std::uint64_t value = 0;
 };
+static_assert(sizeof(ProbeEvent) == 24);
+static_assert(std::is_trivially_copyable_v<ProbeEvent>);
 
 /// Receiver of probe events. Implementations (TelemetryCollector) are
 /// attached per run and must not be shared across concurrently running

@@ -16,7 +16,7 @@ void Timeline::set_process_name(std::uint32_t pid, std::string name) {
 
 namespace {
 
-void write_json_string(std::ostream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -36,8 +36,7 @@ void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
-void write_args(std::ostream& os,
-                const std::vector<std::pair<std::string, std::uint64_t>>& args) {
+void write_args(std::ostream& os, const TimelineArgs& args) {
   os << "\"args\": {";
   bool first = true;
   for (const auto& [k, v] : args) {
@@ -81,7 +80,7 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& os) {
     os << "    {\"name\": ";
     write_json_string(os, e.name);
     os << ", \"cat\": ";
-    write_json_string(os, e.category.empty() ? std::string("tmemo")
+    write_json_string(os, e.category.empty() ? std::string_view("tmemo")
                                              : e.category);
     os << ", \"ph\": \"" << static_cast<char>(e.phase) << "\""
        << ", \"pid\": " << e.pid << ", \"tid\": " << e.tid
