@@ -12,6 +12,17 @@
 
 namespace tmemo {
 
+/// SplitMix64 finalizer over (seed, salt): derives an independent child
+/// seed, e.g. one per compute unit, stream core or FPU of a device, from a
+/// parent seed and the child's index.
+[[nodiscard]] constexpr std::uint64_t mix_seed(std::uint64_t seed,
+                                               std::uint64_t salt) noexcept {
+  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// Xorshift128+ PRNG (Vigna, 2014). Deterministic across platforms.
 class Xorshift128 {
  public:

@@ -3,24 +3,20 @@
 #include <bit>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 
 namespace tmemo {
 
-namespace {
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-} // namespace
-
-ComputeUnit::ComputeUnit(const DeviceConfig& config, std::uint64_t seed)
+ComputeUnit::ComputeUnit(const DeviceConfig& config, std::uint64_t seed,
+                         std::shared_ptr<const FpuProgramming> programming)
     : wavefront_size_(config.wavefront_size),
       subwavefronts_(config.subwavefronts()) {
+  if (!programming) {
+    programming = std::make_shared<const FpuProgramming>(config.fpu);
+  }
   cores_.reserve(static_cast<std::size_t>(config.stream_cores_per_cu));
   for (int sc = 0; sc < config.stream_cores_per_cu; ++sc) {
-    cores_.emplace_back(config.fpu,
+    cores_.emplace_back(programming,
                         mix_seed(seed, static_cast<std::uint64_t>(sc)));
   }
 }
@@ -132,11 +128,6 @@ void ComputeUnit::set_probe(telemetry::ProbeSink* sink, std::uint32_t cu) {
 
 void ComputeUnit::for_each_fpu(const std::function<void(ResilientFpu&)>& fn) {
   for (auto& core : cores_) core.for_each_fpu(fn);
-}
-
-void ComputeUnit::for_each_fpu(
-    const std::function<void(const ResilientFpu&)>& fn) const {
-  for (const auto& core : cores_) core.for_each_fpu(fn);
 }
 
 } // namespace tmemo

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -33,7 +34,10 @@ class ExecutionSink {
 
 class ComputeUnit {
  public:
-  ComputeUnit(const DeviceConfig& config, std::uint64_t seed);
+  /// `programming` is the device-wide FPU programming the stream cores
+  /// follow; null gives the unit its own, from `config.fpu`.
+  ComputeUnit(const DeviceConfig& config, std::uint64_t seed,
+              std::shared_ptr<const FpuProgramming> programming = nullptr);
 
   /// Executes one static vector instruction across the wavefront.
   ///
@@ -53,8 +57,23 @@ class ComputeUnit {
   }
   [[nodiscard]] StreamCore& stream_core(int i);
 
+  /// Applies `fn` to every FPU of the unit, creating the ones not used yet.
   void for_each_fpu(const std::function<void(ResilientFpu&)>& fn);
-  void for_each_fpu(const std::function<void(const ResilientFpu&)>& fn) const;
+
+  /// Applies `fn` to the FPUs created so far.
+  template <typename Fn>
+  void for_each_created_fpu(Fn&& fn) {
+    for (auto& core : cores_) core.for_each_created_fpu(fn);
+  }
+  template <typename Fn>
+  void for_each_created_fpu(Fn&& fn) const {
+    for (const auto& core : cores_) core.for_each_created_fpu(fn);
+  }
+
+  /// Destroys every created FPU (see StreamCore::drop_fpus).
+  void drop_fpus() noexcept {
+    for (auto& core : cores_) core.drop_fpus();
+  }
 
   /// Attaches (nullptr detaches) a telemetry sink to this unit and every
   /// stream core / FPU beneath it; `cu` is this unit's device index.

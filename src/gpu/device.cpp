@@ -2,17 +2,9 @@
 
 #include "common/bits.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
 
 namespace tmemo {
-
-namespace {
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-} // namespace
 
 GpuDevice::GpuDevice(const DeviceConfig& config, const EnergyModel& energy)
     : config_(config),
@@ -21,10 +13,12 @@ GpuDevice::GpuDevice(const DeviceConfig& config, const EnergyModel& energy)
       errors_(std::make_shared<NoErrorModel>()),
       accumulator_(this) {
   config_.validate();
+  programming_ = std::make_shared<FpuProgramming>(config_.fpu);
   cus_.reserve(static_cast<std::size_t>(config_.compute_units));
   for (int cu = 0; cu < config_.compute_units; ++cu) {
     cus_.emplace_back(config_,
-                      mix_seed(config_.seed, static_cast<std::uint64_t>(cu)));
+                      mix_seed(config_.seed, static_cast<std::uint64_t>(cu)),
+                      programming_);
   }
 }
 
@@ -33,6 +27,7 @@ GpuDevice::GpuDevice(GpuDevice&& other) noexcept
       energy_(std::move(other.energy_)),
       supply_(other.supply_),
       errors_(std::move(other.errors_)),
+      programming_(std::move(other.programming_)),
       cus_(std::move(other.cus_)),
       accumulator_(std::move(other.accumulator_)),
       telemetry_(other.telemetry_) {
@@ -45,6 +40,7 @@ GpuDevice& GpuDevice::operator=(GpuDevice&& other) noexcept {
     energy_ = std::move(other.energy_);
     supply_ = other.supply_;
     errors_ = std::move(other.errors_);
+    programming_ = std::move(other.programming_);
     cus_ = std::move(other.cus_);
     accumulator_ = std::move(other.accumulator_);
     telemetry_ = other.telemetry_;
@@ -65,67 +61,62 @@ void GpuDevice::set_fpu_supply(Volt v) {
   supply_ = v;
 }
 
+template <typename Fn>
+void GpuDevice::program_registers(const Fn& write) {
+  write(programming_->registers);
+  for_each_created_fpu([&](ResilientFpu& f) { write(f.registers()); });
+}
+
 void GpuDevice::program_exact() {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu([](ResilientFpu& f) { f.registers().program_exact(); });
-    cu.set_spatial_constraint(MatchConstraint::exact());
-  }
+  program_registers([](MemoRegisterFile& r) { r.program_exact(); });
+  for (auto& cu : cus_) cu.set_spatial_constraint(MatchConstraint::exact());
 }
 
 void GpuDevice::program_threshold(float threshold) {
+  program_registers(
+      [=](MemoRegisterFile& r) { r.program_threshold(threshold); });
   for (auto& cu : cus_) {
-    cu.for_each_fpu(
-        [=](ResilientFpu& f) { f.registers().program_threshold(threshold); });
     cu.set_spatial_constraint(MatchConstraint::approximate(threshold));
   }
 }
 
 void GpuDevice::program_threshold_as_mask(float threshold) {
+  program_registers(
+      [=](MemoRegisterFile& r) { r.program_threshold_as_mask(threshold); });
   for (auto& cu : cus_) {
-    cu.for_each_fpu([=](ResilientFpu& f) {
-      f.registers().program_threshold_as_mask(threshold);
-    });
     cu.set_spatial_constraint(MatchConstraint::masked(
         mask_ignoring_fraction_lsbs(fraction_lsbs_for_threshold(threshold))));
   }
 }
 
 void GpuDevice::set_commutativity(bool on) {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu(
-        [=](ResilientFpu& f) { f.registers().set_commutativity(on); });
-  }
+  program_registers([=](MemoRegisterFile& r) { r.set_commutativity(on); });
 }
 
 void GpuDevice::set_memo_enabled(bool on) {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu([=](ResilientFpu& f) { f.registers().set_enabled(on); });
-  }
+  program_registers([=](MemoRegisterFile& r) { r.set_enabled(on); });
 }
 
 void GpuDevice::set_power_gated(bool gated) {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu([=](ResilientFpu& f) { f.set_power_gated(gated); });
-  }
+  programming_->set_power_gated(gated);
+  for_each_created_fpu([=](ResilientFpu& f) { f.set_power_gated(gated); });
 }
 
 void GpuDevice::preload_lut(const LutEntry& entry) {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu([&](ResilientFpu& f) {
-      if (opcode_unit(entry.opcode) == f.unit()) f.lut().preload(entry);
-    });
-  }
+  programming_->preloads.push_back(entry);
+  for_each_created_fpu([&](ResilientFpu& f) {
+    if (opcode_unit(entry.opcode) == f.unit()) f.lut().preload(entry);
+  });
 }
 
 void GpuDevice::set_lut_depth(int depth) {
-  config_.fpu.lut_depth = depth;
-  cus_.clear();
-  for (int cu = 0; cu < config_.compute_units; ++cu) {
-    cus_.emplace_back(config_,
-                      mix_seed(config_.seed, static_cast<std::uint64_t>(cu)));
-  }
-  accumulator_.reset();
-  set_telemetry(telemetry_); // the rebuilt FPUs need their probes back
+  DeviceConfig config = config_;
+  config.fpu.lut_depth = depth;
+  config.validate();
+  config_ = config;
+  programming_->config.lut_depth = depth;
+  for (auto& cu : cus_) cu.drop_fpus();
+  reset_stats();
 }
 
 void GpuDevice::set_telemetry(telemetry::ProbeSink* sink) {
@@ -142,11 +133,9 @@ ComputeUnit& GpuDevice::compute_unit(int i) {
 
 std::array<FpuStats, kNumFpuTypes> GpuDevice::unit_stats() const {
   std::array<FpuStats, kNumFpuTypes> out{};
-  for (const auto& cu : cus_) {
-    cu.for_each_fpu([&](const ResilientFpu& f) {
-      out[static_cast<std::size_t>(f.unit())] += f.stats();
-    });
-  }
+  for_each_created_fpu([&](const ResilientFpu& f) {
+    out[static_cast<std::size_t>(f.unit())] += f.stats();
+  });
   return out;
 }
 
@@ -178,10 +167,8 @@ std::array<SpatialStats, kNumFpuTypes> GpuDevice::spatial_stats() const {
 }
 
 void GpuDevice::reset_stats() {
-  for (auto& cu : cus_) {
-    cu.for_each_fpu([](ResilientFpu& f) { f.reset_stats(); });
-    cu.reset_spatial_stats();
-  }
+  for_each_created_fpu([](ResilientFpu& f) { f.reset_stats(); });
+  for (auto& cu : cus_) cu.reset_spatial_stats();
   accumulator_.reset();
 }
 

@@ -103,6 +103,8 @@ class GpuDevice {
   // -- Application-visible memoization configuration ------------------------
   // Broadcast to the memory-mapped registers of every FPU on the device,
   // the way a host runtime would program all modules before a kernel launch.
+  // The device keeps this programming once (FpuProgramming) and applies each
+  // change to the FPUs created so far; FPUs created later start from it.
 
   /// Exact matching constraint (error-intolerant kernels).
   void program_exact();
@@ -118,7 +120,10 @@ class GpuDevice {
   void set_power_gated(bool gated);
   /// Preloads an entry into every LUT (compiler-directed warm start, §4.2).
   void preload_lut(const LutEntry& entry);
-  /// Rebuilds all FPUs with a different LUT FIFO depth (keeps stats reset).
+  /// Rebuilds all FPUs with a different LUT FIFO depth. The programming
+  /// (registers, gating, preloads, spatial mode and constraint) and the
+  /// telemetry sink stay; statistics and energy are reset as by
+  /// reset_stats(), and the rebuilt FPUs restart their EDS streams.
   void set_lut_depth(int depth);
   /// Enables spatial memoization (cross-lane concurrent instruction reuse,
   /// reference [20]); composes with the temporal modules.
@@ -142,6 +147,18 @@ class GpuDevice {
   void set_telemetry(telemetry::ProbeSink* sink);
   [[nodiscard]] telemetry::ProbeSink* telemetry_sink() const noexcept {
     return telemetry_;
+  }
+
+  /// Applies `fn` to the FPUs created so far, compute unit by compute unit.
+  /// An FPU is created on its first issue (or by ComputeUnit::for_each_fpu);
+  /// until then it holds nothing but the device programming.
+  template <typename Fn>
+  void for_each_created_fpu(Fn&& fn) {
+    for (auto& cu : cus_) cu.for_each_created_fpu(fn);
+  }
+  template <typename Fn>
+  void for_each_created_fpu(Fn&& fn) const {
+    for (const auto& cu : cus_) cu.for_each_created_fpu(fn);
   }
 
   // -- Statistics ------------------------------------------------------------
@@ -170,10 +187,15 @@ class GpuDevice {
   void reset_stats();
 
  private:
+  /// Applies `write` to the register template and to every created FPU.
+  template <typename Fn>
+  void program_registers(const Fn& write);
+
   DeviceConfig config_;
   EnergyModel energy_;
   Volt supply_;
   std::shared_ptr<const TimingErrorModel> errors_;
+  std::shared_ptr<FpuProgramming> programming_;
   std::vector<ComputeUnit> cus_;
   EnergyAccumulator accumulator_;
   telemetry::ProbeSink* telemetry_ = nullptr;

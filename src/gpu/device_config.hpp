@@ -39,6 +39,8 @@ struct DeviceConfig {
                "wavefront size must be a multiple of the stream-core count");
     TM_REQUIRE(wavefront_size <= 64,
                "lane masks are modeled with 64-bit words");
+    TM_REQUIRE(fpu.lut_depth >= 1 && fpu.lut_depth <= 4096,
+               "LUT depth out of range");
   }
 
   /// The paper's target part: Radeon HD 5870.

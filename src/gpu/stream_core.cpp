@@ -1,72 +1,66 @@
 #include "gpu/stream_core.hpp"
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 
 namespace tmemo {
 
 namespace {
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) {
-  // SplitMix64-style finalizer over (seed, salt).
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+bool fpu_exists(int pe, FpuType unit) noexcept {
+  return fpu_type_is_transcendental(unit) == (pe == kPeT);
 }
 } // namespace
 
-StreamCore::StreamCore(const ResilientFpuConfig& fpu_config,
-                       std::uint64_t seed) {
-  for (int pe = 0; pe < kPeCount; ++pe) {
-    for (FpuType unit : kAllFpuTypes) {
-      const bool trans = fpu_type_is_transcendental(unit);
-      if (trans != (pe == kPeT)) continue;
-      ResilientFpuConfig cfg = fpu_config;
-      cfg.eds_seed = mix_seed(
-          seed, static_cast<std::uint64_t>(pe) * 64u +
-                    static_cast<std::uint64_t>(unit));
-      fpus_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(unit)] =
-          std::make_unique<ResilientFpu>(unit, cfg);
-    }
+void FpuProgramming::apply_to(ResilientFpu& f) const {
+  f.registers() = registers;
+  f.set_power_gated(power_gated);
+  for (const LutEntry& e : preloads) {
+    if (opcode_unit(e.opcode) == f.unit()) f.lut().preload(e);
   }
 }
 
-ExecutionRecord StreamCore::execute(const FpInstruction& ins,
-                                    const TimingErrorModel& errors) {
-  const FpuType unit = ins.unit();
-  const int pe = vliw_slot(unit, ins.static_id);
-  auto& fpu = fpus_[static_cast<std::size_t>(pe)]
-                   [static_cast<std::size_t>(unit)];
-  TM_ASSERT(fpu != nullptr);
-  return fpu->execute(ins, errors);
+StreamCore::StreamCore(const ResilientFpuConfig& fpu_config,
+                       std::uint64_t seed)
+    : StreamCore(std::make_shared<const FpuProgramming>(fpu_config), seed) {}
+
+StreamCore::StreamCore(std::shared_ptr<const FpuProgramming> programming,
+                       std::uint64_t seed)
+    : programming_(std::move(programming)), seed_(seed) {}
+
+void StreamCore::create(int pe, FpuType unit) {
+  TM_ASSERT(fpu_exists(pe, unit));
+  ResilientFpuConfig cfg = programming_->config;
+  cfg.eds_seed = mix_seed(seed_, static_cast<std::uint64_t>(pe) * 64u +
+                                     static_cast<std::uint64_t>(unit));
+  auto fpu = std::make_unique<ResilientFpu>(unit, cfg);
+  programming_->apply_to(*fpu);
+  fpu->set_probe(probe_, probe_cu_, probe_core_);
+  fpus_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(unit)] =
+      std::move(fpu);
 }
 
 void StreamCore::for_each_fpu(const std::function<void(ResilientFpu&)>& fn) {
-  for (auto& pe : fpus_) {
-    for (auto& fpu : pe) {
-      if (fpu) fn(*fpu);
-    }
-  }
-}
-
-void StreamCore::for_each_fpu(
-    const std::function<void(const ResilientFpu&)>& fn) const {
-  for (const auto& pe : fpus_) {
-    for (const auto& fpu : pe) {
-      if (fpu) fn(*fpu);
+  for (int pe = 0; pe < kPeCount; ++pe) {
+    for (FpuType unit : kAllFpuTypes) {
+      if (fpu_exists(pe, unit)) fn(fpu(pe, unit));
     }
   }
 }
 
 void StreamCore::set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
                            std::uint16_t core) {
-  for_each_fpu([=](ResilientFpu& f) { f.set_probe(sink, cu, core); });
+  probe_ = sink;
+  probe_cu_ = cu;
+  probe_core_ = core;
+  for_each_created_fpu([=](ResilientFpu& f) { f.set_probe(sink, cu, core); });
 }
 
 ResilientFpu& StreamCore::fpu(int pe, FpuType unit) {
   TM_REQUIRE(pe >= 0 && pe < kPeCount, "PE index out of range");
+  TM_REQUIRE(fpu_exists(pe, unit), "unit does not exist on this PE");
   auto& ptr = fpus_[static_cast<std::size_t>(pe)]
                    [static_cast<std::size_t>(unit)];
-  TM_REQUIRE(ptr != nullptr, "unit does not exist on this PE");
+  if (!ptr) create(pe, unit);
   return *ptr;
 }
 

@@ -12,11 +12,13 @@
 // draws) behind the enabled() predicates so disabled injection is
 // bit-identical to builds that predate this subsystem.
 //
-// This header is dependency-free (only <cstdint>) so the innermost model
-// layers (timing/, memo/) can include it freely.
+// This header depends only on <cstdint> and the header-only common/rng.hpp,
+// so the innermost model layers (timing/, memo/) can include it freely.
 #pragma once
 
 #include <cstdint>
+
+#include "common/rng.hpp"
 
 namespace tmemo::inject {
 
@@ -89,17 +91,14 @@ struct FaultInjectionConfig {
   }
 };
 
-/// Derives an injector stream seed from the owning device/FPU seed (same
-/// splitmix64 finalizer as derive_job_seed). Lint rule R8
+/// Derives an injector stream seed from the owning device/FPU seed (the
+/// splitmix64 finalizer mix_seed, as derive_job_seed). Lint rule R8
 /// (injection-seeding) requires every injector RNG to be seeded through an
 /// expression like this one — never with a free-standing literal — so fault
 /// campaigns replay bit-identically from the campaign seed alone.
 [[nodiscard]] constexpr std::uint64_t derive_fault_seed(
     std::uint64_t seed, std::uint64_t salt) noexcept {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return mix_seed(seed, salt);
 }
 
 } // namespace tmemo::inject

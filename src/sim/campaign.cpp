@@ -22,6 +22,7 @@
 #include <thread>
 
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "io/artifact_footer.hpp"
 #include "io/atomic_file.hpp"
 #include "net/transport.hpp"
@@ -597,11 +598,7 @@ std::optional<SweepAxis> SweepAxis::parse(std::string_view text) {
 }
 
 std::uint64_t derive_job_seed(std::uint64_t campaign_seed, std::size_t index) {
-  std::uint64_t z =
-      campaign_seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(index) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return mix_seed(campaign_seed, static_cast<std::uint64_t>(index));
 }
 
 std::size_t CampaignResult::failed() const noexcept {

@@ -194,5 +194,81 @@ TEST(GpuDevice, DisabledMemoMatchesBaselineEnergy) {
   EXPECT_NEAR(t.memoized_pj, t.baseline_pj, 1e-6);
 }
 
+TEST(GpuDevice, SetLutDepthKeepsProgramming) {
+  GpuDevice device = small_device();
+  device.program_threshold(0.25f);
+  device.set_commutativity(false);
+  device.set_memo_enabled(false);
+  LutEntry e;
+  e.opcode = FpOpcode::kRecip;
+  e.operands = {16.0f, 0.0f, 0.0f};
+  e.result = 0.0625f;
+  device.preload_lut(e);
+  device.set_spatial_memoization(true);
+  device.set_lut_depth(8);
+
+  device.compute_unit(0).for_each_fpu([](const ResilientFpu& f) {
+    EXPECT_EQ(f.lut().depth(), 8);
+    EXPECT_EQ(f.registers().threshold(), 0.25f);
+    EXPECT_FALSE(f.registers().commutativity());
+    EXPECT_FALSE(f.registers().enabled());
+    EXPECT_EQ(f.lut().size(), f.unit() == FpuType::kRecip ? 1 : 0);
+  });
+  // The spatial comparators keep both the mode and the 0.25 threshold:
+  // lanes 1e-4 apart all reuse the master's result.
+  ASSERT_TRUE(device.compute_unit(0).spatial_memoization());
+  launch(device, 64, [](WavefrontCtx& wf) {
+    LaneVec x;
+    for (int i = 0; i < 64; ++i) x[i] = 1.0f + 1e-4f * static_cast<float>(i);
+    (void)wf.mul(x, x);
+  });
+  const auto spatial = device.spatial_stats();
+  EXPECT_EQ(spatial[static_cast<std::size_t>(FpuType::kMul)].reuses, 63u);
+}
+
+TEST(GpuDevice, SetLutDepthKeepsPowerGating) {
+  GpuDevice device = small_device();
+  device.set_power_gated(true);
+  device.set_lut_depth(4);
+  device.compute_unit(0).for_each_fpu([](const ResilientFpu& f) {
+    EXPECT_EQ(f.lut().depth(), 4);
+    EXPECT_TRUE(f.power_gated());
+  });
+}
+
+TEST(GpuDevice, SetLutDepthRejectsOutOfRangeDepth) {
+  GpuDevice device = small_device();
+  EXPECT_THROW(device.set_lut_depth(0), std::invalid_argument);
+  EXPECT_THROW(device.set_lut_depth(4097), std::invalid_argument);
+  EXPECT_EQ(device.config().fpu.lut_depth, 2);
+}
+
+TEST(GpuDevice, FpusAreCreatedOnFirstIssue) {
+  // Programming creates no FPU; one 64-lane single-op launch on the default
+  // 20-CU device creates exactly one per stream core of CU 0 (16 of 7680).
+  GpuDevice device;
+  device.program_threshold(0.5f);
+  device.set_commutativity(true);
+  int created = 0;
+  device.for_each_created_fpu([&](const ResilientFpu&) { ++created; });
+  EXPECT_EQ(created, 0);
+
+  launch(device, 64, [](WavefrontCtx& wf) {
+    (void)wf.mul(wf.splat(1.0f), wf.splat(2.0f));
+  });
+  device.for_each_created_fpu([&](const ResilientFpu& f) {
+    ++created;
+    EXPECT_EQ(f.unit(), FpuType::kMul);
+  });
+  EXPECT_EQ(created, 16);
+  ComputeUnit& cu0 = device.compute_unit(0);
+  for (int sc = 0; sc < cu0.stream_core_count(); ++sc) {
+    int on_core = 0;
+    cu0.stream_core(sc).for_each_created_fpu(
+        [&](const ResilientFpu&) { ++on_core; });
+    EXPECT_EQ(on_core, 1) << "stream core " << sc;
+  }
+}
+
 } // namespace
 } // namespace tmemo
