@@ -2,34 +2,6 @@
 
 namespace tmemo {
 
-FpuType opcode_unit(FpOpcode op) noexcept {
-  switch (op) {
-    case FpOpcode::kMul:
-      return FpuType::kMul;
-    case FpOpcode::kMulAdd:
-      return FpuType::kMulAdd;
-    case FpOpcode::kSqrt:
-    case FpOpcode::kRsqrt:
-      return FpuType::kSqrt;
-    case FpOpcode::kRecip:
-      return FpuType::kRecip;
-    case FpOpcode::kFp2Int:
-      return FpuType::kFp2Int;
-    case FpOpcode::kInt2Fp:
-      return FpuType::kInt2Fp;
-    case FpOpcode::kSin:
-    case FpOpcode::kCos:
-      return FpuType::kTrig;
-    case FpOpcode::kExp2:
-    case FpOpcode::kLog2:
-      return FpuType::kExpLog;
-    default:
-      // add/sub, compares, min/max, rounding, abs/neg, conditional move all
-      // share the adder/compare datapath.
-      return FpuType::kAdd;
-  }
-}
-
 std::string_view opcode_name(FpOpcode op) noexcept {
   switch (op) {
     case FpOpcode::kAdd:    return "ADD";
@@ -76,24 +48,6 @@ std::string_view fpu_type_name(FpuType t) noexcept {
     case FpuType::kExpLog: return "EXPLOG";
   }
   return "?";
-}
-
-bool fpu_type_is_transcendental(FpuType t) noexcept {
-  switch (t) {
-    case FpuType::kSqrt:
-    case FpuType::kRecip:
-    case FpuType::kTrig:
-    case FpuType::kExpLog:
-      return true;
-    default:
-      return false;
-  }
-}
-
-int fpu_latency_cycles(FpuType t) noexcept {
-  // Paper §5.1: "the RECIP has a latency of 16 cycles, while the rest of the
-  // FPU have four cycles latency."
-  return t == FpuType::kRecip ? 16 : 4;
 }
 
 } // namespace tmemo

@@ -83,7 +83,7 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
 
 /// Number of float source operands the opcode consumes (1..3). Defined
 /// here so the LUT comparators inline it.
-[[nodiscard]] inline int opcode_arity(FpOpcode op) noexcept {
+[[nodiscard]] constexpr int opcode_arity(FpOpcode op) noexcept {
   switch (op) {
     case FpOpcode::kFloor:
     case FpOpcode::kCeil:
@@ -110,8 +110,35 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
   }
 }
 
-/// Physical FPU type that executes the opcode.
-[[nodiscard]] FpuType opcode_unit(FpOpcode op) noexcept;
+/// Physical FPU type that executes the opcode. Defined here, like the
+/// other per-op mappings below, so the issue path inlines it.
+[[nodiscard]] inline FpuType opcode_unit(FpOpcode op) noexcept {
+  switch (op) {
+    case FpOpcode::kMul:
+      return FpuType::kMul;
+    case FpOpcode::kMulAdd:
+      return FpuType::kMulAdd;
+    case FpOpcode::kSqrt:
+    case FpOpcode::kRsqrt:
+      return FpuType::kSqrt;
+    case FpOpcode::kRecip:
+      return FpuType::kRecip;
+    case FpOpcode::kFp2Int:
+      return FpuType::kFp2Int;
+    case FpOpcode::kInt2Fp:
+      return FpuType::kInt2Fp;
+    case FpOpcode::kSin:
+    case FpOpcode::kCos:
+      return FpuType::kTrig;
+    case FpOpcode::kExp2:
+    case FpOpcode::kLog2:
+      return FpuType::kExpLog;
+    default:
+      // add/sub, compares, min/max, rounding, abs/neg, conditional move all
+      // share the adder/compare datapath.
+      return FpuType::kAdd;
+  }
+}
 
 /// True when swapping the first two operands cannot change the result
 /// (ADD, MUL, MIN, MAX, SETE, SETNE, and the multiplicand pair of MULADD).
@@ -140,12 +167,26 @@ inline constexpr std::array<FpuType, 6> kReportedFpuTypes = {
 
 /// True for units that live on the transcendental (T) processing element of
 /// a stream core; all other units are replicated across the X/Y/Z/W PEs.
-[[nodiscard]] bool fpu_type_is_transcendental(FpuType t) noexcept;
+[[nodiscard]] inline bool fpu_type_is_transcendental(FpuType t) noexcept {
+  switch (t) {
+    case FpuType::kSqrt:
+    case FpuType::kRecip:
+    case FpuType::kTrig:
+    case FpuType::kExpLog:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// Pipeline depth in cycles at the signoff frequency. Per the paper (§5.1):
 /// every Evergreen ALU functional unit has a latency of four cycles and a
 /// throughput of one instruction per cycle, except RECIP which is pipelined
 /// to 16 stages to balance the clock across the FP pipelines.
-[[nodiscard]] int fpu_latency_cycles(FpuType t) noexcept;
+[[nodiscard]] inline int fpu_latency_cycles(FpuType t) noexcept {
+  // Paper §5.1: "the RECIP has a latency of 16 cycles, while the rest of the
+  // FPU have four cycles latency."
+  return t == FpuType::kRecip ? 16 : 4;
+}
 
 } // namespace tmemo

@@ -1,15 +1,19 @@
 #include "fpu/semantics.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 namespace tmemo {
 
-float evaluate_fp_op(FpOpcode op,
-                     const std::array<float, kMaxOperands>& v) noexcept {
-  const float a = v[0];
-  const float b = v[1];
-  const float c = v[2];
+namespace {
+
+/// The golden datapath of one opcode, shared by the scalar and the
+/// lane-batched forms. Always inlined, so a constant `op` folds the switch.
+[[gnu::always_inline]] inline float apply(FpOpcode op, float a, float b,
+                                          float c) noexcept {
   switch (op) {
     case FpOpcode::kAdd:    return a + b;
     case FpOpcode::kSub:    return a - b;
@@ -49,6 +53,41 @@ float evaluate_fp_op(FpOpcode op,
     case FpOpcode::kCndGe:  return a >= 0.0f ? b : c;
   }
   return 0.0f;
+}
+
+template <FpOpcode Op>
+void apply_lanes(const float* a, const float* b, const float* c,
+                 std::uint64_t lanes, float* out) noexcept {
+  constexpr int arity = opcode_arity(Op);
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(lanes));
+    out[i] = apply(Op, a[i], arity >= 2 ? b[i] : 0.0f,
+                   arity >= 3 ? c[i] : 0.0f);
+  }
+}
+
+using LaneFn = void (*)(const float*, const float*, const float*,
+                        std::uint64_t, float*) noexcept;
+
+template <std::size_t... Op>
+constexpr std::array<LaneFn, sizeof...(Op)> lane_table(
+    std::index_sequence<Op...>) {
+  return {&apply_lanes<static_cast<FpOpcode>(Op)>...};
+}
+
+constexpr auto kLaneFns =
+    lane_table(std::make_index_sequence<kNumFpOpcodes>{});
+
+} // namespace
+
+float evaluate_fp_op(FpOpcode op,
+                     const std::array<float, kMaxOperands>& v) noexcept {
+  return apply(op, v[0], v[1], v[2]);
+}
+
+void evaluate_fp_op(FpOpcode op, const float* a, const float* b,
+                    const float* c, std::uint64_t lanes, float* out) noexcept {
+  kLaneFns[static_cast<std::size_t>(op)](a, b, c, lanes, out);
 }
 
 } // namespace tmemo

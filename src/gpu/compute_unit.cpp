@@ -1,16 +1,26 @@
 #include "gpu/compute_unit.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "gpu/device.hpp"
 
 namespace tmemo {
+
+namespace {
+/// Lane masks are 64-bit words (DeviceConfig::validate).
+constexpr std::size_t kMaxLanes = 64;
+} // namespace
 
 ComputeUnit::ComputeUnit(const DeviceConfig& config, std::uint64_t seed,
                          std::shared_ptr<const FpuProgramming> programming)
     : wavefront_size_(config.wavefront_size),
       subwavefronts_(config.subwavefronts()) {
+  TM_REQUIRE(config.wavefront_size <= static_cast<int>(kMaxLanes) &&
+                 config.stream_cores_per_cu <= static_cast<int>(kMaxLanes),
+             "lane masks are modeled with 64-bit words");
   if (!programming) {
     programming = std::make_shared<const FpuProgramming>(config.fpu);
   }
@@ -30,29 +40,59 @@ void ComputeUnit::execute_wavefront_op(
   TM_REQUIRE(a != nullptr, "operand a is required");
   TM_REQUIRE(arity < 2 || b != nullptr, "operand b required for this opcode");
   TM_REQUIRE(arity < 3 || c != nullptr, "operand c required for this opcode");
+  // Records bound for the device's own accumulator are counted in place;
+  // every other sink (trace writer, performance model, tests) gets each
+  // one through ExecutionSink::consume.
+  if (sink != nullptr && sink == accumulator_) {
+    issue(op, static_id, a, b, c, active_mask, base_work_item, errors,
+          accumulator_, results);
+  } else {
+    issue(op, static_id, a, b, c, active_mask, base_work_item, errors, sink,
+          results);
+  }
+}
+
+template <typename Sink>
+void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
+                        const float* b, const float* c,
+                        std::uint64_t active_mask, WorkItemId base_work_item,
+                        const TimingErrorModel& errors, Sink* sink,
+                        float* results) {
+  // Per-op invariants, derived once: the unit and its depth, the PE every
+  // lane is steered to, and the golden results of all active lanes.
+  const int arity = opcode_arity(op);
+  const FpuType unit = opcode_unit(op);
+  const int depth = fpu_latency_cycles(unit);
+  const int pe = StreamCore::vliw_slot(unit, static_id);
+  const std::uint64_t lanes =
+      active_mask &
+      (wavefront_size_ >= 64 ? ~0ull : (1ull << wavefront_size_) - 1);
+  TMEMO_TELEM(probe_,
+              telemetry::ProbeEvent{
+                  telemetry::ProbeEvent::Kind::kWavefrontIssue,
+                  static_cast<std::uint8_t>(unit), 0, 0, probe_cu_,
+                  static_cast<std::uint64_t>(std::popcount(lanes))});
+  std::array<float, kMaxLanes> exact;
+  evaluate_fp_op(op, a, b, c, lanes, exact.data());
 
   // Spatial memoization (reference [20]): the first active lane is the
   // master; subsequent lanes whose operands match it under the spatial
   // constraint reuse its broadcast result without touching their FPUs.
   SpatialMaster master;
-  const FpuType unit = opcode_unit(op);
   SpatialStats& sstats = spatial_stats_[static_cast<std::size_t>(unit)];
 
-  const std::uint64_t lane_mask =
-      wavefront_size_ >= 64 ? ~0ull : (1ull << wavefront_size_) - 1;
-  TMEMO_TELEM(probe_,
-              telemetry::ProbeEvent{
-                  telemetry::ProbeEvent::Kind::kWavefrontIssue,
-                  static_cast<std::uint8_t>(unit), 0, 0, probe_cu_,
-                  static_cast<std::uint64_t>(
-                      std::popcount(active_mask & lane_mask))});
+  // Stream core j's FPU for this op, resolved at its first active lane.
+  const int cores = static_cast<int>(cores_.size());
+  std::array<ResilientFpu*, kMaxLanes> fpus;
+  std::fill_n(fpus.begin(), cores, nullptr);
+  const std::uint64_t core_mask = cores >= 64 ? ~0ull : (1ull << cores) - 1;
 
-  const int lanes_per_sub = static_cast<int>(cores_.size());
   for (int sub = 0; sub < subwavefronts_; ++sub) {
-    for (int sc = 0; sc < lanes_per_sub; ++sc) {
-      const int lane = sub * lanes_per_sub + sc;
-      if (lane >= wavefront_size_) break;
-      if ((active_mask & (1ull << lane)) == 0) continue;
+    const int first_lane = sub * cores;
+    for (std::uint64_t m = (lanes >> first_lane) & core_mask; m != 0;
+         m &= m - 1) {
+      const int sc = std::countr_zero(m);
+      const int lane = first_lane + sc;
 
       FpInstruction ins;
       ins.opcode = op;
@@ -81,10 +121,10 @@ void ComputeUnit::execute_wavefront_op(
           rec.spatial_compares = 1;
           rec.timing_error = errors.sample_error(unit, spatial_rng_);
           rec.error_masked = rec.timing_error;
-          rec.gated_stage_cycles = fpu_latency_cycles(unit);
-          rec.latency_cycles = fpu_latency_cycles(unit);
+          rec.gated_stage_cycles = depth;
+          rec.latency_cycles = depth;
           rec.result = master.result();
-          rec.exact_result = evaluate_fp_op(ins);
+          rec.exact_result = exact[static_cast<std::size_t>(lane)];
           rec.operands = ins.operands;
           results[lane] = rec.result;
           TMEMO_TELEM(probe_,
@@ -98,8 +138,12 @@ void ComputeUnit::execute_wavefront_op(
         }
       }
 
+      ResilientFpu*& fpu = fpus[static_cast<std::size_t>(sc)];
+      if (fpu == nullptr) {
+        fpu = &cores_[static_cast<std::size_t>(sc)].steered_fpu(pe, unit);
+      }
       ExecutionRecord rec =
-          cores_[static_cast<std::size_t>(sc)].execute(ins, errors);
+          fpu->execute(ins, errors, exact[static_cast<std::size_t>(lane)]);
       if (spatial_) {
         if (master.armed()) rec.spatial_compares = 1; // compared and missed
         // Committed values are exact on the non-reuse path only when the

@@ -32,6 +32,8 @@ class ExecutionSink {
   virtual void consume(const ExecutionRecord& record) = 0;
 };
 
+class EnergyAccumulator; // gpu/device.hpp
+
 class ComputeUnit {
  public:
   /// `programming` is the device-wide FPU programming the stream cores
@@ -44,13 +46,22 @@ class ComputeUnit {
   /// `a`, `b`, `c` point to per-lane operand arrays (length >= wavefront
   /// size; unused operand slots may be null). Bit i of `active_mask`
   /// selects lane i. Results are written to `results` for active lanes;
-  /// inactive lanes are left untouched.
+  /// inactive lanes are left untouched. `sink` (may be null) receives one
+  /// record per active lane in issue order; when it is the accumulator set
+  /// by set_energy_accumulator(), the records are counted in place.
   void execute_wavefront_op(FpOpcode op, StaticInstrId static_id,
                             const float* a, const float* b, const float* c,
                             std::uint64_t active_mask,
                             WorkItemId base_work_item,
                             const TimingErrorModel& errors,
                             ExecutionSink* sink, float* results);
+
+  /// The owning device's energy accumulator (null: none). A sink equal to
+  /// it is fed without a virtual call per lane. The device rebinds it when
+  /// it moves, as it rebinds the accumulator itself.
+  void set_energy_accumulator(EnergyAccumulator* accumulator) noexcept {
+    accumulator_ = accumulator;
+  }
 
   [[nodiscard]] int stream_core_count() const noexcept {
     return static_cast<int>(cores_.size());
@@ -99,9 +110,18 @@ class ComputeUnit {
   void reset_spatial_stats() noexcept { spatial_stats_ = {}; }
 
  private:
+  /// execute_wavefront_op's body, for the device accumulator (direct call)
+  /// or any other sink (virtual call).
+  template <typename Sink>
+  void issue(FpOpcode op, StaticInstrId static_id, const float* a,
+             const float* b, const float* c, std::uint64_t active_mask,
+             WorkItemId base_work_item, const TimingErrorModel& errors,
+             Sink* sink, float* results);
+
   int wavefront_size_;
   int subwavefronts_;
   std::vector<StreamCore> cores_;
+  EnergyAccumulator* accumulator_ = nullptr;
   telemetry::ProbeSink* probe_ = nullptr;
   std::uint32_t probe_cu_ = 0;
 

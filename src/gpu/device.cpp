@@ -20,6 +20,7 @@ GpuDevice::GpuDevice(const DeviceConfig& config, const EnergyModel& energy)
                       mix_seed(config_.seed, static_cast<std::uint64_t>(cu)),
                       programming_);
   }
+  bind_accumulator();
 }
 
 GpuDevice::GpuDevice(GpuDevice&& other) noexcept
@@ -31,7 +32,7 @@ GpuDevice::GpuDevice(GpuDevice&& other) noexcept
       cus_(std::move(other.cus_)),
       accumulator_(std::move(other.accumulator_)),
       telemetry_(other.telemetry_) {
-  accumulator_.rebind(this);
+  bind_accumulator();
 }
 
 GpuDevice& GpuDevice::operator=(GpuDevice&& other) noexcept {
@@ -44,9 +45,14 @@ GpuDevice& GpuDevice::operator=(GpuDevice&& other) noexcept {
     cus_ = std::move(other.cus_);
     accumulator_ = std::move(other.accumulator_);
     telemetry_ = other.telemetry_;
-    accumulator_.rebind(this);
+    bind_accumulator();
   }
   return *this;
+}
+
+void GpuDevice::bind_accumulator() noexcept {
+  accumulator_.rebind(this);
+  for (auto& cu : cus_) cu.set_energy_accumulator(&accumulator_);
 }
 
 void GpuDevice::set_error_model(

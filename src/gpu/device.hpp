@@ -33,7 +33,8 @@ class GpuDevice;
 /// Holds a pointer to its owning device and reads the energy model and the
 /// live FPU supply through it; the device's move operations rebind the
 /// pointer, so a moved device never leaves the accumulator referencing a
-/// dead object.
+/// dead object. The compute units hold a pointer to the accumulator, rebound
+/// the same way, and count records bound for it without a virtual call.
 class EnergyAccumulator final : public ExecutionSink {
  public:
   explicit EnergyAccumulator(const GpuDevice* device) noexcept
@@ -74,8 +75,9 @@ class GpuDevice {
   explicit GpuDevice(const DeviceConfig& config = DeviceConfig::radeon_hd5870(),
                      const EnergyModel& energy = EnergyModel{});
 
-  // Moves rebind the energy accumulator at the new object; copying is not
-  // possible (stream cores own their FPU instances exclusively).
+  // Moves rebind the energy accumulator (and the compute units' pointers
+  // to it) at the new object; copying is not possible (stream cores own
+  // their FPU instances exclusively).
   GpuDevice(const GpuDevice&) = delete;
   GpuDevice& operator=(const GpuDevice&) = delete;
   GpuDevice(GpuDevice&& other) noexcept;
@@ -187,6 +189,10 @@ class GpuDevice {
   void reset_stats();
 
  private:
+  /// Points the accumulator at this device and the compute units at the
+  /// accumulator (construction and moves).
+  void bind_accumulator() noexcept;
+
   /// Applies `write` to the register template and to every created FPU.
   template <typename Fn>
   void program_registers(const Fn& write);

@@ -58,10 +58,7 @@ void StreamCore::set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
 ResilientFpu& StreamCore::fpu(int pe, FpuType unit) {
   TM_REQUIRE(pe >= 0 && pe < kPeCount, "PE index out of range");
   TM_REQUIRE(fpu_exists(pe, unit), "unit does not exist on this PE");
-  auto& ptr = fpus_[static_cast<std::size_t>(pe)]
-                   [static_cast<std::size_t>(unit)];
-  if (!ptr) create(pe, unit);
-  return *ptr;
+  return steered_fpu(pe, unit);
 }
 
 } // namespace tmemo

@@ -66,11 +66,18 @@ class StreamCore {
   ExecutionRecord execute(const FpInstruction& ins,
                           const TimingErrorModel& errors) {
     const FpuType unit = ins.unit();
-    const int pe = vliw_slot(unit, ins.static_id);
+    return steered_fpu(vliw_slot(unit, ins.static_id), unit)
+        .execute(ins, errors);
+  }
+
+  /// The FPU of `unit` on PE `pe`, created on first use; `pe` must be the
+  /// vliw_slot() of an instruction of that unit. A compute unit resolves it
+  /// once per wavefront op.
+  ResilientFpu& steered_fpu(int pe, FpuType unit) {
     auto& fpu = fpus_[static_cast<std::size_t>(pe)]
                      [static_cast<std::size_t>(unit)];
     if (!fpu) create(pe, unit);
-    return fpu->execute(ins, errors);
+    return *fpu;
   }
 
   /// The PE slot a static instruction is steered to.

@@ -13,8 +13,12 @@
 // Storage is a flat ring that grows with occupancy up to the depth, so a
 // deep FIFO (bench/fifo_size_sweep goes to 4096) costs nothing until it is
 // filled, and a full FIFO evicts by overwriting its oldest slot.
+//
+// lookup_checked(), update() and push() are defined in this header: the
+// FPU transaction runs them for every lane, and they inline into it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -108,13 +112,47 @@ class MemoLut {
   /// cycle, so the check is free) and counts them in
   /// LutStats::parity_invalidations.
   [[nodiscard]] LookupResult lookup_checked(const FpInstruction& ins,
-                                            const MatchConstraint& constraint);
+                                            const MatchConstraint& constraint) {
+    ++stats_.lookups;
+    if (parity_protected_) drop_parity_failures();
+    LookupResult res;
+    const auto matches = [&](const LutEntry& entry) {
+      if (entry.opcode != ins.opcode ||
+          !constraint.operands_match(ins.opcode, entry.operands,
+                                     ins.operands)) {
+        return false;
+      }
+      ++stats_.hits;
+      res.hit = true;
+      res.value = entry.result;
+      res.corrupted = entry.corrupted();
+      if (res.corrupted) ++stats_.corrupt_hits;
+      return true;
+    };
+    if (ring_.empty()) return res;
+    // Newest first: slots head_ down to 0, then (full ring only) the wrapped
+    // part from the last slot down to head_ + 1.
+    for (std::size_t k = head_ + 1; k-- > 0;) {
+      if (matches(ring_[k])) return res;
+    }
+    for (std::size_t k = ring_.size(); k-- > head_ + 1;) {
+      if (matches(ring_[k])) return res;
+    }
+    return res;
+  }
 
   /// Inserts an error-free execution context (operands -> result) at the
   /// head of the FIFO, evicting the oldest entry when full. This models the
   /// W_en-gated write driven by the error-free completion of the FPU's last
   /// stage.
-  void update(const FpInstruction& ins, float result);
+  void update(const FpInstruction& ins, float result) {
+    LutEntry entry;
+    entry.opcode = ins.opcode;
+    entry.operands = ins.operands;
+    entry.result = result;
+    push(entry);
+    ++stats_.updates;
+  }
 
   /// Preloads an entry (paper §4.2: compilers / domain experts "can also
   /// store pre-computed values in the LUT to use the most probable or
@@ -150,7 +188,21 @@ class MemoLut {
     return k <= head_ ? head_ - k : head_ + ring_.size() - k;
   }
 
-  void push(const LutEntry& entry);
+  void push(const LutEntry& entry) {
+    const auto depth = static_cast<std::size_t>(depth_);
+    if (ring_.size() < depth) {
+      // Grow with occupancy, never past the depth.
+      if (ring_.size() == ring_.capacity()) {
+        ring_.reserve(std::min(depth, std::max<std::size_t>(
+                                          2, 2 * ring_.capacity())));
+      }
+      ring_.push_back(entry);
+      head_ = ring_.size() - 1;
+    } else {
+      head_ = head_ + 1 == depth ? 0 : head_ + 1;
+      ring_[head_] = entry;
+    }
+  }
   void drop_parity_failures();
 
   int depth_;

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <istream>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -678,6 +679,7 @@ std::vector<CampaignJob> CampaignEngine::expand(const SweepSpec& spec) {
           job.variant_label =
               spec.variants.empty() ? "base" : spec.variants[v].label;
           job.axis_value = point;
+          job.fp_op_count = workloads[w]->fp_op_count();
           job.spec = spec.axis.kind == SweepAxis::Kind::kErrorRate
                          ? RunSpec::at_error_rate(point)
                          : RunSpec::at_voltage(point);
@@ -691,6 +693,17 @@ std::vector<CampaignJob> CampaignEngine::expand(const SweepSpec& spec) {
     }
   }
   return jobs;
+}
+
+std::vector<std::size_t> dispatch_order(
+    const std::vector<CampaignJob>& jobs) {
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&jobs](std::size_t a, std::size_t b) {
+                     return jobs[a].fp_op_count > jobs[b].fp_op_count;
+                   });
+  return order;
 }
 
 std::string campaign_fingerprint(const SweepSpec& spec) {
@@ -1008,6 +1021,7 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
                std::max<std::size_t>(jobs.size(), 1)));
   result.workers = workers;
 
+  const std::vector<std::size_t> order = dispatch_order(jobs);
   const auto campaign_start = wall_now();
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> resumed{0};
@@ -1027,8 +1041,9 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
     }
 
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= jobs.size()) return;
+      const std::size_t i = order[k];
       JobResult& out = result.jobs[i];
       if (restored[i] != nullptr) {
         out = *restored[i];
@@ -1093,7 +1108,7 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
     ProcessPoolRequest req;
     req.spec = &spec;
     req.jobs = &jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (const std::size_t i : order) {
       if (restored[i] != nullptr) {
         result.jobs[i] = *restored[i];
         result.jobs[i].job = jobs[i];

@@ -131,7 +131,18 @@ struct CampaignJob {
   std::string variant_label;
   double axis_value = 0.0;
   RunSpec spec = RunSpec::at_error_rate(0.0);
+  /// Workload::fp_op_count() of the job's workload (0 = unknown): the
+  /// job's cost estimate for dispatch_order().
+  std::uint64_t fp_op_count = 0;
 };
+
+/// The order in which CampaignEngine::run dispatches `jobs`: longest first
+/// by fp_op_count, ties (and unknown counts, which go last) by index, so
+/// the costliest jobs do not start last and leave workers idle. Results,
+/// seeds and journal entries are keyed by job index, so only the row order
+/// of a journal shows the dispatch order.
+[[nodiscard]] std::vector<std::size_t> dispatch_order(
+    const std::vector<CampaignJob>& jobs);
 
 /// Outcome of one job. ok == false means the run threw (`error` holds the
 /// exception text and `report` is default-constructed) or, with a job

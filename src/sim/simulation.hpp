@@ -117,11 +117,6 @@ class Simulation {
   [[nodiscard]] KernelRunReport run(const Workload& workload,
                                     const RunSpec& spec) const;
 
-  // The pre-RunSpec entry points (run_at_error_rate / run_at_voltage and
-  // the model+supply run() overload) lived here as deprecated forwarders
-  // for one release cycle and have been removed; lint rule R5
-  // (deprecated-run-api) keeps them from coming back.
-
  private:
   ExperimentConfig config_;
 };

@@ -117,4 +117,14 @@ WorkloadResult BinomialOptionWorkload::run(GpuDevice& device) const {
   return compare_outputs_rel_rms(got, golden, verify_tolerance());
 }
 
+std::uint64_t BinomialOptionWorkload::fp_op_count() const {
+  // Per option: 22 ops of lattice parameters and the first leaf price,
+  // SUB + MAX per leaf and a MUL between leaves, then MUL, MULADD, MUL per
+  // node of the backward induction.
+  const auto steps = static_cast<std::uint64_t>(steps_);
+  const std::uint64_t per_option =
+      22 + 2 * (steps + 1) + steps + 3 * (steps * (steps + 1) / 2);
+  return per_option * static_cast<std::uint64_t>(inputs_.size());
+}
+
 } // namespace tmemo

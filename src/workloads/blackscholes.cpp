@@ -158,4 +158,10 @@ WorkloadResult BlackScholesWorkload::run(GpuDevice& device) const {
   return compare_outputs_rel_rms(got, golden, verify_tolerance());
 }
 
+std::uint64_t BlackScholesWorkload::fp_op_count() const {
+  // Per option: 22 ops for d1, d2, the discount and the two prices, plus
+  // 17 for each of the two cnd() evaluations.
+  return (22 + 2 * 17) * static_cast<std::uint64_t>(inputs_.size());
+}
+
 } // namespace tmemo

@@ -56,6 +56,7 @@ class BlackScholesWorkload final : public Workload {
   /// SDK-style normalized-RMS tolerance.
   [[nodiscard]] double verify_tolerance() const override { return 1e-4; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
  private:
   std::size_t samples_;

@@ -155,4 +155,13 @@ WorkloadResult EigenValueWorkload::run(GpuDevice& device) const {
   return compare_outputs(got, golden, verify_tolerance());
 }
 
+std::uint64_t EigenValueWorkload::fp_op_count() const {
+  // Per work-item and bisection iteration: 9 ops per row of the Sturm
+  // sequence (the first row's 5 plus the 4 of the interval update make 9
+  // too); then ADD and MUL for the final midpoint.
+  const auto n = static_cast<std::uint64_t>(matrix_.size());
+  const auto iterations = static_cast<std::uint64_t>(iterations_);
+  return n * (9 * n * iterations + 2);
+}
+
 } // namespace tmemo

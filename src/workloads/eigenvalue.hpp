@@ -54,6 +54,7 @@ class EigenValueWorkload final : public Workload {
   /// Exact matching: the device result must be bit-identical.
   [[nodiscard]] double verify_tolerance() const override { return 0.0; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
  private:
   Tridiagonal matrix_;

@@ -1,5 +1,7 @@
 #include "workloads/fwt.hpp"
 
+#include <bit>
+
 #include "common/require.hpp"
 #include "common/rng.hpp"
 #include "kernel/launch.hpp"
@@ -83,6 +85,12 @@ WorkloadResult FwtWorkload::run(GpuDevice& device) const {
   const std::vector<float> got = fwt_on_device(device, signal_);
   const std::vector<float> golden = fwt_reference(signal_);
   return compare_outputs(got, golden, verify_tolerance());
+}
+
+std::uint64_t FwtWorkload::fp_op_count() const {
+  // ADD and SUB per butterfly: n/2 work-items in each of log2(n) launches.
+  const auto n = static_cast<std::uint64_t>(signal_.size());
+  return n * static_cast<std::uint64_t>(std::countr_zero(n));
 }
 
 } // namespace tmemo

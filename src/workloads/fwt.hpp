@@ -34,6 +34,7 @@ class FwtWorkload final : public Workload {
   /// Exact matching: outputs must be bit-identical to the host reference.
   [[nodiscard]] double verify_tolerance() const override { return 0.0; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
  private:
   std::size_t requested_;

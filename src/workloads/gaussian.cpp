@@ -100,4 +100,10 @@ WorkloadResult GaussianWorkload::run(GpuDevice& device) const {
   return res;
 }
 
+std::uint64_t GaussianWorkload::fp_op_count() const {
+  // Per pixel: the 1/16 RECIP, a MUL and a MULADD per tap of the 3x3
+  // window, then MIN and FP2INT.
+  return (1 + 9 * 2 + 2) * static_cast<std::uint64_t>(input_.size());
+}
+
 } // namespace tmemo

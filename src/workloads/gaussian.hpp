@@ -28,6 +28,7 @@ class GaussianWorkload final : public Workload {
   [[nodiscard]] bool error_tolerant() const override { return true; }
   [[nodiscard]] double verify_tolerance() const override { return 1.0; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
   [[nodiscard]] const Image& input() const noexcept { return input_; }
 

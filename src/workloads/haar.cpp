@@ -90,4 +90,10 @@ WorkloadResult HaarWorkload::run(GpuDevice& device) const {
   return compare_outputs_rel_rms(got, golden, verify_tolerance());
 }
 
+std::uint64_t HaarWorkload::fp_op_count() const {
+  // ADD, SUB and two MULs per work-item; the levels launch n/2 + n/4 + ...
+  // + 1 = n - 1 work-items.
+  return 4 * (static_cast<std::uint64_t>(signal_.size()) - 1);
+}
+
 } // namespace tmemo

@@ -36,6 +36,7 @@ class HaarWorkload final : public Workload {
   /// SDK-style normalized-RMS tolerance.
   [[nodiscard]] double verify_tolerance() const override { return 0.05; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
  private:
   std::vector<float> signal_;

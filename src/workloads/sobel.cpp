@@ -111,4 +111,10 @@ WorkloadResult SobelWorkload::run(GpuDevice& device) const {
   return res;
 }
 
+std::uint64_t SobelWorkload::fp_op_count() const {
+  // Per pixel: Gx and Gy take 5 ops each (3 SUB, ADD, MULADD), the
+  // magnitude 4 (MUL, MULADD, SQRT, MUL), the quantization 2 (MIN, FP2INT).
+  return 16 * static_cast<std::uint64_t>(input_.size());
+}
+
 } // namespace tmemo

@@ -35,6 +35,7 @@ class SobelWorkload final : public Workload {
   /// used for the exact-matching regression check.
   [[nodiscard]] double verify_tolerance() const override { return 1.0; }
   [[nodiscard]] WorkloadResult run(GpuDevice& device) const override;
+  [[nodiscard]] std::uint64_t fp_op_count() const override;
 
   [[nodiscard]] const Image& input() const noexcept { return input_; }
 

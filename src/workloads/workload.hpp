@@ -20,6 +20,7 @@
 // problems remain available with scale = 1.0.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -72,6 +73,13 @@ class Workload {
   /// Launches the kernel(s) on `device` (which must already be configured:
   /// matching constraint, error model, supply) and verifies the outputs.
   [[nodiscard]] virtual WorkloadResult run(GpuDevice& device) const = 0;
+
+  /// The number of FP instructions run() issues, one per active lane of
+  /// every wavefront op: KernelRunReport::total_instructions() of a run
+  /// without spatial memoization. The kernels have no data-dependent
+  /// control flow, so it is known before the run. 0 means unknown. The
+  /// campaign engine dispatches the costliest jobs first by it.
+  [[nodiscard]] virtual std::uint64_t fp_op_count() const { return 0; }
 };
 
 /// All seven Table-1 workloads at the given problem scale. scale = 1.0

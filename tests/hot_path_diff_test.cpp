@@ -5,7 +5,10 @@
 //    VoltageScaling::op_error_probability, bit for bit;
 //  * the device's count-based energy sink against Σ EnergyModel::charge /
 //    charge_baseline over the same records;
-//  * the ring-buffer MemoLut against a std::deque FIFO model.
+//  * the ring-buffer MemoLut against a std::deque FIFO model;
+//  * the compute unit's issue loop, feeding the device's accumulator in
+//    place, against the same launch through a TraceWriter in front of the
+//    accumulator and through per-lane ResilientFpu::execute + consume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +17,16 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "gpu/device.hpp"
 #include "memo/lut.hpp"
+#include "memo/spatial.hpp"
 #include "timing/error_model.hpp"
+#include "trace/trace.hpp"
 
 namespace tmemo {
 namespace {
@@ -266,6 +273,198 @@ TEST(HotPathDiff, DeepRingLutMatchesDequeFifo) {
   // of the one mid-run clear.
   run_lut_differential(4096, 40000, 0x4096);
 }
+
+// -- Issue: energy counted exactly once, whichever way records arrive ---------
+
+/// One wavefront op of the test launch, with its per-lane operands.
+struct WaveOp {
+  int cu = 0;
+  FpOpcode op = FpOpcode::kAdd;
+  StaticInstrId static_id = 0;
+  std::uint64_t mask = 0;
+  WorkItemId base = 0;
+  std::array<std::array<float, 64>, kMaxOperands> operands{};
+};
+
+/// A launch of five wavefronts over two compute units, the last one
+/// partial, running every FPU type. Operands come from a small alphabet, so
+/// LUT hits, approximate matches and spatial reuses all occur.
+std::vector<WaveOp> test_launch() {
+  const FpOpcode program[] = {
+      FpOpcode::kAdd,  FpOpcode::kMul,   FpOpcode::kMulAdd, FpOpcode::kRecip,
+      FpOpcode::kSqrt, FpOpcode::kSin,   FpOpcode::kExp2,   FpOpcode::kFp2Int,
+      FpOpcode::kInt2Fp, FpOpcode::kSetGt, FpOpcode::kCndGe, FpOpcode::kMul};
+  Xorshift128 rng(0x1a0c4);
+  std::vector<WaveOp> ops;
+  for (int w = 0; w < 5; ++w) {
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t k = 0; k < std::size(program); ++k) {
+        WaveOp op;
+        op.cu = w % 2;
+        op.op = program[k];
+        op.static_id = static_cast<StaticInstrId>(k);
+        op.mask = w == 4 ? (1ull << 40) - 1 : ~0ull;
+        op.base = static_cast<WorkItemId>(w) * 64;
+        for (auto& lanes : op.operands) {
+          for (float& v : lanes) {
+            v = 1.0f + 0.25f * static_cast<float>(rng.next_below(5));
+          }
+        }
+        ops.push_back(op);
+      }
+    }
+  }
+  return ops;
+}
+
+/// The per-lane loop the compute unit's issue path replaced: every active
+/// lane, sub-wavefront-major, through ResilientFpu::execute (spatial
+/// reuses built here, drawing from their own stream as the unit does), and
+/// every record into device.sink().
+void issue_per_lane(GpuDevice& device, const WaveOp& w, bool spatial,
+                    const MatchConstraint& constraint,
+                    Xorshift128& spatial_rng, float* results) {
+  ComputeUnit& cu = device.compute_unit(w.cu);
+  const TimingErrorModel& errors = device.error_model();
+  const FpuType unit = opcode_unit(w.op);
+  const int pe = StreamCore::vliw_slot(unit, w.static_id);
+  const int cores = cu.stream_core_count();
+  SpatialMaster master;
+  for (int sub = 0; sub < device.config().subwavefronts(); ++sub) {
+    for (int sc = 0; sc < cores; ++sc) {
+      const int lane = sub * cores + sc;
+      if ((w.mask >> lane & 1) == 0) continue;
+      FpInstruction ins;
+      ins.opcode = w.op;
+      ins.static_id = w.static_id;
+      ins.work_item = w.base + static_cast<WorkItemId>(lane);
+      for (int i = 0; i < opcode_arity(w.op); ++i) {
+        ins.operands[static_cast<std::size_t>(i)] =
+            w.operands[static_cast<std::size_t>(i)]
+                      [static_cast<std::size_t>(lane)];
+      }
+      ExecutionRecord rec;
+      if (spatial && master.matches(ins, constraint)) {
+        rec.unit = unit;
+        rec.action = MemoAction::kReuse;
+        rec.spatial_reuse = true;
+        rec.spatial_compares = 1;
+        rec.timing_error = errors.sample_error(unit, spatial_rng);
+        rec.error_masked = rec.timing_error;
+        rec.gated_stage_cycles = fpu_latency_cycles(unit);
+        rec.latency_cycles = fpu_latency_cycles(unit);
+        rec.result = master.result();
+      } else {
+        rec = cu.stream_core(sc).fpu(pe, unit).execute(ins, errors);
+        if (spatial && master.armed()) rec.spatial_compares = 1;
+        if (spatial && !master.armed()) master.arm(ins, rec.result);
+      }
+      results[lane] = rec.result;
+      device.sink().consume(rec);
+    }
+  }
+}
+
+GpuDevice make_issue_device(bool spatial) {
+  DeviceConfig config = DeviceConfig::single_cu();
+  config.compute_units = 2;
+  GpuDevice device(config);
+  device.set_error_model(std::make_shared<FixedRateErrorModel>(0.1));
+  device.program_threshold(0.3f);
+  device.set_spatial_memoization(spatial);
+  return device;
+}
+
+void expect_same_stats(const FpuStats& a, const FpuStats& b) {
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.timing_errors, b.timing_errors);
+  EXPECT_EQ(a.masked_errors, b.masked_errors);
+  EXPECT_EQ(a.recoveries, b.recoveries);
+  EXPECT_EQ(a.recovery_cycles, b.recovery_cycles);
+  EXPECT_EQ(a.active_stage_cycles, b.active_stage_cycles);
+  EXPECT_EQ(a.gated_stage_cycles, b.gated_stage_cycles);
+  EXPECT_EQ(a.lut_updates, b.lut_updates);
+  EXPECT_EQ(a.sdc_ops, b.sdc_ops);
+}
+
+class EnergyCountedOnce : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EnergyCountedOnce, DeviceSinkTraceWriterAndPerLanePathsAgree) {
+  const bool spatial = GetParam();
+  const std::vector<WaveOp> launch = test_launch();
+
+  // 1. Straight into device.sink(): the counted-in-place path.
+  GpuDevice direct = make_issue_device(spatial);
+  // 2. Through a TraceWriter that forwards to device.sink(), the pattern of
+  //    examples/trace_analysis and the perfbench trace capture.
+  GpuDevice traced = make_issue_device(spatial);
+  TraceWriter writer(&traced.sink());
+  // 3. Per lane through ResilientFpu::execute + device.sink().consume.
+  GpuDevice per_lane = make_issue_device(spatial);
+  std::array<Xorshift128, 2> spatial_rngs{Xorshift128(0xb0adca57ull),
+                                          Xorshift128(0xb0adca57ull)};
+
+  std::size_t records = 0;
+  for (const WaveOp& w : launch) {
+    std::array<std::array<float, 64>, 3> out{};
+    for (auto& lanes : out) lanes.fill(-1.0f);
+    const float* a = w.operands[0].data();
+    const float* b = w.operands[1].data();
+    const float* c = w.operands[2].data();
+    direct.compute_unit(w.cu).execute_wavefront_op(
+        w.op, w.static_id, a, b, c, w.mask, w.base, direct.error_model(),
+        &direct.sink(), out[0].data());
+    traced.compute_unit(w.cu).execute_wavefront_op(
+        w.op, w.static_id, a, b, c, w.mask, w.base, traced.error_model(),
+        &writer, out[1].data());
+    issue_per_lane(per_lane, w, spatial, MatchConstraint::approximate(0.3f),
+                   spatial_rngs[static_cast<std::size_t>(w.cu)],
+                   out[2].data());
+    records += static_cast<std::size_t>(std::popcount(w.mask));
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      ASSERT_EQ(float_to_bits(out[0][lane]), float_to_bits(out[1][lane]))
+          << opcode_name(w.op) << " lane " << lane;
+      ASSERT_EQ(float_to_bits(out[0][lane]), float_to_bits(out[2][lane]))
+          << opcode_name(w.op) << " lane " << lane;
+    }
+  }
+  EXPECT_EQ(writer.size(), records);
+
+  const auto direct_stats = direct.unit_stats();
+  const auto traced_stats = traced.unit_stats();
+  const auto per_lane_stats = per_lane.unit_stats();
+  std::uint64_t retired = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t recoveries = 0;
+  for (FpuType unit : kAllFpuTypes) {
+    SCOPED_TRACE(fpu_type_name(unit));
+    const auto u = static_cast<std::size_t>(unit);
+    EXPECT_GT(direct_stats[u].instructions, 0u);
+    retired += direct_stats[u].instructions;
+    hits += direct_stats[u].hits;
+    recoveries += direct_stats[u].recoveries;
+    expect_same_stats(direct_stats[u], traced_stats[u]);
+    expect_same_stats(direct_stats[u], per_lane_stats[u]);
+    const EnergyTotals want = direct.unit_energy(unit);
+    EXPECT_GT(want.baseline_pj, 0.0);
+    EXPECT_EQ(traced.unit_energy(unit).memoized_pj, want.memoized_pj);
+    EXPECT_EQ(traced.unit_energy(unit).baseline_pj, want.baseline_pj);
+    EXPECT_EQ(per_lane.unit_energy(unit).memoized_pj, want.memoized_pj);
+    EXPECT_EQ(per_lane.unit_energy(unit).baseline_pj, want.baseline_pj);
+  }
+  std::uint64_t reuses = 0;
+  for (const SpatialStats& s : direct.spatial_stats()) reuses += s.reuses;
+  EXPECT_EQ(retired + reuses, records);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(recoveries, 0u);
+  EXPECT_EQ(reuses > 0, spatial);
+}
+
+INSTANTIATE_TEST_SUITE_P(Spatial, EnergyCountedOnce, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "on" : "off";
+                         });
 
 } // namespace
 } // namespace tmemo

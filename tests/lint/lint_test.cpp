@@ -64,12 +64,6 @@ TEST(LintRules, R4FlagsExecutePathsThatNeverChargeEnergy) {
             std::string::npos);
 }
 
-TEST(LintRules, R5FlagsEveryDeprecatedWrapperMention) {
-  const LintReport r = run_lint({fixture("bad/r5_deprecated.cpp")});
-  EXPECT_EQ(r.findings.size(), 4u);
-  EXPECT_EQ(count_rule(r, "deprecated-run-api"), 4u);
-}
-
 TEST(LintRules, R6FlagsUnseededRngConstruction) {
   const LintReport r = run_lint({fixture("bad/r6_rng.cpp")});
   EXPECT_EQ(r.findings.size(), 4u);
@@ -193,11 +187,11 @@ TEST(LintRules, IndexRuleGoodFixtureIsFullyClean) {
 
 TEST(LintRules, WholeBadTreeCountsAreStable) {
   const LintReport r = run_lint({fixture("bad")});
-  // 5 (R1) + 3 (R2) + 2 (R3) + 1 (R4) + 4 (R5) + 4 (R6) + 3 (R7)
+  // 5 (R1) + 3 (R2) + 2 (R3) + 1 (R4) + 4 (R6) + 3 (R7)
   // + 2 (R8) + 6 (R9) + 4 (R10 pipe) + 9 (R10 socket) + 4 (R11)
   // + 4 (R12) + 4 (R13) + 3 (R14) + 2 (orphans).
-  EXPECT_EQ(r.findings.size(), 60u);
-  EXPECT_EQ(r.files_scanned, 16u);
+  EXPECT_EQ(r.findings.size(), 56u);
+  EXPECT_EQ(r.files_scanned, 15u);
   // One justified suppression per R9-R13 plus the socket fixture's and
   // the R14 fixture's.
   EXPECT_EQ(r.suppressed, 7u);
@@ -485,7 +479,7 @@ TEST(LintSarif, ReportValidatesAgainstTheSarif210Shape) {
     rule_ids.push_back(rule.at("id").string);
     EXPECT_FALSE(rule.at("shortDescription").at("text").string.empty());
   }
-  EXPECT_EQ(rule_ids.size(), 18u);  // R1-R14 + 4 meta rules
+  EXPECT_EQ(rule_ids.size(), 17u);  // R1-R14 without R5 + 4 meta rules
   for (const char* id :
        {"pod-protocol", "syscall-discipline", "probe-cost",
         "campaign-determinism", "float-equality", "artifact-durability",
@@ -496,7 +490,7 @@ TEST(LintSarif, ReportValidatesAgainstTheSarif210Shape) {
   }
 
   const Json& results = run.at("results");
-  EXPECT_EQ(results.array.size(), 60u);  // matches WholeBadTreeCounts
+  EXPECT_EQ(results.array.size(), 56u);  // matches WholeBadTreeCounts
   for (const Json& res : results.array) {
     EXPECT_NE(std::find(rule_ids.begin(), rule_ids.end(),
                         res.at("ruleId").string),
@@ -582,7 +576,7 @@ TEST(LintCli, ListRulesNamesEveryRule) {
   const std::string text = out.str();
   for (const char* rule :
        {"nondeterminism", "unordered-iteration", "type-punning",
-        "energy-pairing", "deprecated-run-api", "rng-seed",
+        "energy-pairing", "rng-seed",
         "telemetry-registry", "injection-seeding", "pod-protocol",
         "syscall-discipline", "probe-cost", "campaign-determinism",
         "float-equality", "artifact-durability", "orphan-suppression"}) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -206,6 +209,66 @@ TEST(Campaign, FailedJobsAppearInWriters) {
   write_campaign_json(res, json);
   EXPECT_NE(json.str().find("\"error\": \"injected failure\""),
             std::string::npos);
+}
+
+// -- Dispatch order -----------------------------------------------------------
+
+TEST(CampaignDispatch, LongestFirstTiesByIndexUnknownLast) {
+  const std::uint64_t counts[] = {10, 0, 30, 10, 0, 30, 20};
+  std::vector<CampaignJob> jobs(std::size(counts));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].index = i;
+    jobs[i].fp_op_count = counts[i];
+  }
+  EXPECT_EQ(dispatch_order(jobs),
+            (std::vector<std::size_t>{2, 5, 6, 0, 3, 1, 4}));
+  EXPECT_TRUE(dispatch_order({}).empty());
+  // Equal (or all unknown) counts keep index order.
+  for (CampaignJob& j : jobs) j.fp_op_count = 0;
+  EXPECT_EQ(dispatch_order(jobs),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(CampaignDispatch, ExpandCarriesEachWorkloadsOpCount) {
+  const SweepSpec spec = small_spec();
+  const auto workloads = make_all_workloads(spec.scale);
+  for (const CampaignJob& job : CampaignEngine::expand(spec)) {
+    ASSERT_LT(job.workload_index, workloads.size());
+    EXPECT_GT(job.fp_op_count, 0u) << job.kernel;
+    EXPECT_EQ(job.fp_op_count,
+              workloads[job.workload_index]->fp_op_count());
+  }
+}
+
+/// The job indices of `spec`'s journal rows, in the order they were
+/// appended: with one worker, the order the jobs were dispatched in.
+std::vector<std::size_t> journaled_order(const SweepSpec& spec,
+                                         CampaignRunOptions options,
+                                         const std::string& name) {
+  const std::string path = ::testing::TempDir() + "tmemo_" + name;
+  std::remove(path.c_str());
+  options.journal_path = path;
+  const CampaignResult res = CampaignEngine(1).run(spec, options);
+  EXPECT_TRUE(res.all_ok());
+  std::ifstream in(path);
+  const CampaignJournal journal = read_campaign_journal(in);
+  std::remove(path.c_str());
+  std::vector<std::size_t> order;
+  for (const JobResult& e : journal.entries) order.push_back(e.job.index);
+  return order;
+}
+
+TEST(CampaignDispatch, ThreadPoolAndSupervisorStartTheCostliestJobFirst) {
+  const SweepSpec spec = small_spec();
+  const std::vector<std::size_t> want =
+      dispatch_order(CampaignEngine::expand(spec));
+  // Haar (4092 ops) is expanded first but cheapest; FWT and BlackScholes
+  // tie at 229376 ops each and keep their index order.
+  ASSERT_EQ(want, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8, 0, 1, 2}));
+  EXPECT_EQ(journaled_order(spec, {}, "dispatch_threads.csv"), want);
+  CampaignRunOptions process;
+  process.isolation = IsolationMode::kProcess;
+  EXPECT_EQ(journaled_order(spec, process, "dispatch_process.csv"), want);
 }
 
 } // namespace

@@ -11,9 +11,12 @@
 // order FPUs are seeded, shows up here as a diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/spec_flags.hpp"
@@ -109,6 +112,59 @@ INSTANTIATE_TEST_SUITE_P(
       name.resize(name.find('.'));
       return name;
     });
+
+// -- Shape claims, read from the golden grids ----------------------------------
+
+/// The rows of a golden CSV as name -> value maps (no quoted fields; the
+/// record-count footer and other '#' lines are skipped).
+std::vector<std::map<std::string, std::string>> golden_rows(
+    const std::string& name) {
+  std::istringstream lines(read_golden(name));
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> fields;
+    std::istringstream in(line);
+    for (std::string f; std::getline(in, f, ',');) fields.push_back(f);
+    if (!line.empty() && line.back() == ',') fields.emplace_back();
+    return fields;
+  };
+  std::string header;
+  std::getline(lines, header);
+  const std::vector<std::string> columns = split(header);
+  std::vector<std::map<std::string, std::string>> rows;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::vector<std::string> fields = split(line);
+    EXPECT_EQ(fields.size(), columns.size()) << line;
+    std::map<std::string, std::string>& row = rows.emplace_back();
+    for (std::size_t i = 0; i < columns.size() && i < fields.size(); ++i) {
+      row[columns[i]] = fields[i];
+    }
+  }
+  return rows;
+}
+
+// EXPERIMENTS.md, Fig. 10: the energy saving of temporal memoization grows
+// with the timing-error rate, because every masked error is a recovery the
+// baseline pays and the memoized design does not.
+TEST(GoldenShape, SavingRisesStrictlyWithErrorRateForEveryKernel) {
+  std::map<std::string, std::vector<std::pair<double, double>>> curves;
+  for (const auto& row : golden_rows("errsweep.csv")) {
+    ASSERT_EQ(row.at("status"), "ok");
+    curves[row.at("kernel")].emplace_back(std::stod(row.at("error_rate")),
+                                          std::stod(row.at("saving")));
+  }
+  ASSERT_EQ(curves.size(), 7u);
+  for (auto& [kernel, curve] : curves) {
+    SCOPED_TRACE(kernel);
+    ASSERT_EQ(curve.size(), 3u);
+    std::sort(curve.begin(), curve.end());
+    for (std::size_t i = 1; i < curve.size(); ++i) {
+      EXPECT_GT(curve[i].first, curve[i - 1].first);
+      EXPECT_GT(curve[i].second, curve[i - 1].second)
+          << "saving at error rate " << curve[i].first;
+    }
+  }
+}
 
 } // namespace
 } // namespace tmemo

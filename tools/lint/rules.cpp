@@ -294,33 +294,6 @@ class EnergyPairingRule final : public Rule {
   }
 };
 
-// -- R5 ---------------------------------------------------------------------
-
-class DeprecatedRunApiRule final : public Rule {
- public:
-  [[nodiscard]] std::string id() const override {
-    return "deprecated-run-api";
-  }
-  [[nodiscard]] std::string description() const override {
-    return "R5: no calls to the deprecated run_at_* wrappers; use "
-           "Simulation::run(workload, RunSpec)";
-  }
-
-  void check(const SourceFile& file, const RepoIndex& /*repo*/,
-             std::vector<Finding>& out) const override {
-    static const std::set<std::string> kWrappers = {"run_at_error_rate",
-                                                    "run_at_voltage"};
-    for (const Token& t : file.tokens) {
-      if (t.kind == TokenKind::kIdentifier && kWrappers.count(t.text) != 0) {
-        report(out, id(), file, t,
-               "'" + t.text +
-                   "' is deprecated; build a RunSpec (RunSpec::at_error_rate/"
-                   "at_voltage) and call Simulation::run(workload, spec)");
-      }
-    }
-  }
-};
-
 // -- R6 ---------------------------------------------------------------------
 
 class RngSeedRule final : public Rule {
@@ -603,7 +576,6 @@ std::vector<std::unique_ptr<Rule>> make_default_rules() {
   rules.push_back(std::make_unique<UnorderedIterationRule>());
   rules.push_back(std::make_unique<TypePunningRule>());
   rules.push_back(std::make_unique<EnergyPairingRule>());
-  rules.push_back(std::make_unique<DeprecatedRunApiRule>());
   rules.push_back(std::make_unique<RngSeedRule>());
   rules.push_back(std::make_unique<TelemetryRegistryRule>());
   rules.push_back(std::make_unique<InjectionSeedingRule>());
