@@ -1,13 +1,13 @@
 // Wire frame codec of the campaign worker fabric (docs/DISTRIBUTED.md).
 //
-// PR 5's process supervisor spoke a length-prefixed frame protocol over
-// pipes; this header lifts that protocol into a transport-independent
-// codec so the same frames flow over a pipe to a fork()ed worker or over
-// TCP to a remote tmemo_workerd. Everything here is framing and payload
-// layout only — no sockets, no campaign state — so the supervisor
-// (sim/worker_proc.cpp), the remote worker (net/workerd.cpp) and the
-// libFuzzer harness (tests/fuzz/fuzz_frame_decoder.cpp) all consume one
-// decoder.
+// The campaign supervisor speaks one length-prefixed frame protocol to
+// every worker; this header is its transport-independent codec, so the
+// same frames flow over a socketpair to a fork()ed worker or over TCP to
+// a remote tmemo_workerd. Everything here is framing and payload layout
+// only — no sockets, no campaign state — so the supervisor and the worker
+// job loop (sim/worker_proc.cpp, which forked workers and net/workerd.cpp
+// both run) and the libFuzzer harness (tests/fuzz/fuzz_frame_decoder.cpp)
+// all consume one decoder.
 //
 // Frame grammar (protocol v2; FrameHeader is the u32 length prefix from
 // common/pod_io.hpp). Every post-handshake frame in either direction opens
@@ -35,14 +35,14 @@
 //   supervisor -> worker : HelloAckFrame (accept/reject + reason, retry
 //                          budget and metrics capability for the session)
 //
-// Byte order is host order: both ends of a pipe share one machine, and the
-// TCP fabric assumes a homogeneous (same-ABI) cluster — the HelloFrame
-// magic doubles as an endianness canary, so a foreign peer is rejected at
-// registration instead of mis-parsing frames. Every struct below crosses
-// the wire whole through write_pod/read_pod, so the struct layout *is* the
-// wire format: fixed-width fields only, no padding bytes anywhere (lint
-// rule R9 checks both against the computed layout; the static_asserts pin
-// them at compile time).
+// Byte order is host order: both ends of a socketpair share one machine,
+// and the TCP fabric assumes a homogeneous (same-ABI) cluster — the
+// HelloFrame magic doubles as an endianness canary, so a foreign peer is
+// rejected at registration instead of mis-parsing frames. Every struct
+// below crosses the wire whole through write_pod/read_pod, so the struct
+// layout *is* the wire format: fixed-width fields only, no padding bytes
+// anywhere (lint rule R9 checks both against the computed layout; the
+// static_asserts pin them at compile time).
 #pragma once
 
 #include <cstdint>
@@ -174,7 +174,7 @@ static_assert(std::is_trivially_copyable_v<HelloFrame> &&
               "pod_io wire layout");
 
 /// Supervisor -> remote worker: registration verdict. On accept it also
-/// pins the session parameters a pipe worker would have inherited through
+/// pins the session parameters a forked worker would have inherited through
 /// fork(): the retry budget and whether results must carry metrics.
 struct HelloAckFrame {
   std::uint32_t magic = kHelloAckMagic;

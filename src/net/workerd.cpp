@@ -7,13 +7,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/pod_io.hpp"
 #include "inject/fault_config.hpp"
 #include "net/frame.hpp"
 #include "sim/worker_proc.hpp"
@@ -21,11 +18,6 @@
 namespace tmemo::net {
 
 namespace {
-
-/// How often the idle wait wakes up to check the drain flag. SIGTERM also
-/// interrupts poll() directly (EINTR), so this is only the backstop for a
-/// signal delivered between syscalls.
-constexpr int kDrainPollMs = 100;
 
 /// Re-dial backoff ceiling: min(base << k, this).
 constexpr int kMaxBackoffMs = 5000;
@@ -54,27 +46,6 @@ bool drain_requested(const WorkerdOptions& options) {
   return options.drain_flag != nullptr && *options.drain_flag != 0;
 }
 
-enum class WaitVerdict { kReadable, kDrain, kLost };
-
-/// Waits until the supervisor has bytes for us, a drain is requested, or
-/// the peer is gone. The SIGTERM handler interrupts poll() (installed
-/// without SA_RESTART), so a drain request is seen promptly even idle.
-WaitVerdict wait_readable(int fd, const WorkerdOptions& options) {
-  for (;;) {
-    if (drain_requested(options)) return WaitVerdict::kDrain;
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kDrainPollMs);
-    if (rc < 0) {
-      if (errno == EINTR) continue; // signal landed; loop re-checks drain
-      return WaitVerdict::kLost;
-    }
-    if (rc == 0) continue;
-    if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) return WaitVerdict::kLost;
-    // POLLIN or POLLHUP: let read_frame consume what remains and decide.
-    return WaitVerdict::kReadable;
-  }
-}
-
 /// Drain-aware sleep for the re-dial backoff: naps in kDrainPollMs chunks
 /// so a SIGTERM during backoff ends the process promptly.
 /// Returns false when a drain request cut the sleep short.
@@ -94,7 +65,7 @@ bool backoff_sleep(int total_ms, const WorkerdOptions& options) {
 /// three-way handshake before anyone calls accept) would otherwise hang
 /// this worker forever on a reply that never comes; a silent supervisor
 /// counts as a failed dial and feeds the reconnect ladder instead.
-/// Drain-aware like wait_readable.
+/// Drain-aware like the job loop's idle wait.
 bool read_ack_frame(int fd, std::string& payload, int timeout_ms,
                     const WorkerdOptions& options) {
   int waited = 0;
@@ -115,132 +86,6 @@ bool read_ack_frame(int fd, std::string& payload, int timeout_ms,
     return read_frame(fd, payload, kMaxHandshakeFrameBytes);
   }
   return false;
-}
-
-enum class SessionEnd {
-  kComplete, ///< supervisor said goodbye: campaign done
-  kDrained,  ///< drain requested; goodbye sent
-  kLost,     ///< connection lost / stream corrupted: reconnect material
-  kArtifact, ///< journal shard write failed: fatal, NOT reconnect material
-};
-
-/// Serves one registered session until it ends. All outgoing frames go
-/// through the shim so --inject-net chaos applies; every parse failure is
-/// treated as a lost (untrustworthy) stream rather than a fatal protocol
-/// crime, because under fault injection a corrupted frame and a hostile
-/// supervisor look identical — reconnect heals both.
-SessionEnd serve_session(int fd, FrameWriteShim& shim, const SweepSpec& spec,
-                         const std::vector<CampaignJob>& jobs,
-                         int max_attempts,
-                         std::vector<std::unique_ptr<Workload>>& workloads,
-                         const std::string& setup_error,
-                         CampaignJournalWriter& shard,
-                         const WorkerdOptions& options, WorkerdOutcome& out,
-                         std::string& error) {
-  const bool want_metrics = spec.metrics || spec.timeline;
-  std::string payload;
-  for (;;) {
-    switch (wait_readable(fd, options)) {
-      case WaitVerdict::kDrain:
-        // Nothing is in flight (jobs run synchronously below) and every
-        // shard record is already fsynced; goodbye is best-effort — a
-        // draining worker must not hang on a dead supervisor.
-        (void)shim.write(fd, encode_event(kGoodbye, out.jobs_done));
-        return SessionEnd::kDrained;
-      case WaitVerdict::kLost:
-        error = "connection lost while waiting for work";
-        return SessionEnd::kLost;
-      case WaitVerdict::kReadable:
-        break;
-    }
-    if (!read_frame(fd, payload)) {
-      error = "connection lost while waiting for work";
-      return SessionEnd::kLost;
-    }
-
-    JobDispatchFrame dispatch;
-    switch (peek_frame_type(payload)) {
-      case kGoodbye: {
-        // Verify before honoring: a corrupted frame whose first byte
-        // happens to read kGoodbye must not end the session as "campaign
-        // complete" — reconnect (kLost) is the honest verdict.
-        EventFrameHeader bye;
-        if (!decode_event_header(payload, bye)) {
-          error = "corrupted goodbye frame from supervisor";
-          return SessionEnd::kLost;
-        }
-        return SessionEnd::kComplete;
-      }
-      case kPing: {
-        EventFrameHeader ping;
-        if (!decode_event_header(payload, ping)) {
-          error = "corrupted liveness probe from supervisor";
-          return SessionEnd::kLost;
-        }
-        // Echo the sequence number so the supervisor can match the pong
-        // to its outstanding probe.
-        if (!shim.write(fd, encode_event(kPong, ping.job))) {
-          error = "connection lost while answering a liveness probe";
-          return SessionEnd::kLost;
-        }
-        continue;
-      }
-      case kJobDispatch:
-        if (!decode_dispatch(payload, dispatch) ||
-            dispatch.job >= jobs.size() || dispatch.start_attempt < 1) {
-          error = "corrupted dispatch frame from supervisor";
-          return SessionEnd::kLost;
-        }
-        break;
-      default:
-        error = "unrecognized frame from supervisor (corrupted stream?)";
-        return SessionEnd::kLost;
-    }
-
-    // Heartbeat before the work, so the supervisor arms the hard timeout
-    // from the job's true start.
-    if (!shim.write(fd, encode_event(kJobStarted, dispatch.job))) {
-      error = "connection lost while acknowledging a job";
-      return SessionEnd::kLost;
-    }
-
-    const JobResult result = run_dispatched_job(
-        spec, jobs, static_cast<std::size_t>(dispatch.job),
-        static_cast<int>(dispatch.start_attempt), max_attempts,
-        options.inject_crash, workloads, setup_error);
-    if (shard.is_open()) {
-      try {
-        shard.append(result);
-      } catch (const std::exception& e) {
-        // A worker whose shard cannot persist results must stop, loudly:
-        // reconnecting cannot heal a full disk, and serving on without a
-        // journal would silently break the crash-resume contract. The
-        // result frame for this job is deliberately NOT sent — the
-        // supervisor re-dispatches it to a worker that can persist it.
-        error = std::string("journal shard write failed: ") + e.what();
-        return SessionEnd::kArtifact;
-      }
-    }
-
-    std::ostringstream body;
-    write_sized_string(body, serialize_job_result(result));
-    const std::uint8_t has_metrics = want_metrics && result.ok ? 1 : 0;
-    write_pod(body, has_metrics);
-    if (has_metrics != 0) {
-      pack_metrics_snapshot(body, result.report.metrics);
-    }
-    if (!shim.write(fd, encode_result_frame(dispatch.job, body.str()))) {
-      error = "connection lost while delivering a result";
-      return SessionEnd::kLost;
-    }
-    ++out.jobs_done;
-
-    if (drain_requested(options)) {
-      // The in-flight job finished and its result went out; now leave.
-      (void)shim.write(fd, encode_event(kGoodbye, out.jobs_done));
-      return SessionEnd::kDrained;
-    }
-  }
 }
 
 } // namespace
@@ -264,16 +109,7 @@ WorkerdOutcome run_workerd(SweepSpec spec, const WorkerdOptions& options) {
   // Private workload set, built once before the first dial — exactly like
   // a forked worker, and early enough that a slow setup cannot eat into
   // the supervisor's no-heartbeat deadline for the first dispatched job.
-  std::vector<std::unique_ptr<Workload>> workloads;
-  std::string setup_error;
-  try {
-    workloads =
-        spec.factory ? spec.factory() : make_all_workloads(spec.scale);
-  } catch (const std::exception& e) {
-    setup_error = std::string("workload setup failed: ") + e.what();
-  } catch (...) {
-    setup_error = "workload setup failed: unknown exception";
-  }
+  WorkerWorkloads workloads = build_worker_workloads(spec);
 
   CampaignJournalWriter shard;
   WorkerdOutcome out;
@@ -356,9 +192,9 @@ WorkerdOutcome run_workerd(SweepSpec spec, const WorkerdOptions& options) {
                    (1ull << 32) + out.reconnects);
         }
 
-        const SessionEnd end =
-            serve_session(fd, shim, spec, jobs, max_attempts, workloads,
-                          setup_error, shard, options, out, error);
+        const SessionEnd end = serve_jobs(
+            fd, shim, spec, jobs, max_attempts, options.inject_crash,
+            workloads, &shard, options.drain_flag, out.jobs_done, error);
         if (end == SessionEnd::kComplete) {
           out.ok = true;
           return out;

@@ -9,7 +9,10 @@
 // goodbye) until the supervisor says goodbye, a drain is requested, or the
 // connection dies. It is a library function, not a main(), so the loopback
 // e2e tests can fork() a child that inherits a custom WorkloadFactory and
-// call it directly, exactly like the process pool forks pipe workers.
+// call it directly, exactly like the process pool forks its workers. The
+// job loop inside each session is serve_jobs (sim/worker_proc.hpp), the
+// same one forked workers run; this file adds dial, handshake, reconnect
+// and drain around it.
 //
 // Resilience model (docs/RESILIENCE.md):
 //  - A workerd that dies mid-job simply vanishes from the supervisor's

@@ -1121,10 +1121,8 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
     req.max_attempts = options.max_attempts;
     req.job_timeout_ms = options.job_timeout_ms;
     req.inject_crash = options.inject_worker_crash;
-    req.want_metrics = spec.metrics || spec.timeline;
-    req.want_timeline = spec.timeline;
     if (options.isolation == IsolationMode::kRemote) {
-      // Socket workers do the heavy lifting; forked pipe workers join the
+      // Remote workers do the heavy lifting; forked local workers join the
       // same loop only when explicitly asked for.
       req.workers = std::max(0, options.remote_local_workers);
       req.campaign_digest = campaign_wire_digest(spec);

@@ -247,15 +247,16 @@ enum class IsolationMode {
   /// Jobs run on in-process worker threads (the default): fastest, but a
   /// segfault/abort()/OOM-kill in one job takes the whole campaign with it.
   kThread,
-  /// Jobs run in forked worker processes supervised over a pipe protocol
-  /// (sim/worker_proc.hpp): a hard fault in one job becomes a failed
+  /// Jobs run in forked worker processes, each serving the same job loop
+  /// as tmemo_workerd over its own socketpair (sim/worker_proc.hpp): a
+  /// hard fault in one job becomes a failed
   /// JobResult with the decoded cause while every other job completes, and
   /// the job timeout becomes a hard SIGKILL. Results are bit-identical to
   /// thread isolation (wall_ms aside). POSIX only.
   kProcess,
   /// Jobs run in remote tmemo_workerd processes that connect over TCP
   /// (src/net/, docs/DISTRIBUTED.md). The supervisor listens on
-  /// CampaignRunOptions::listen_address and multiplexes socket workers
+  /// CampaignRunOptions::listen_address and multiplexes remote workers
   /// (plus optional local forked workers) in one poll() loop; a lost
   /// connection maps into the crash taxonomy exactly like a dead forked
   /// worker. Results stay bit-identical to thread isolation because only
@@ -302,8 +303,9 @@ struct CampaignRunOptions {
   /// listener in). Not owned; must outlive the run. Overrides
   /// listen_address.
   net::Listener* listener = nullptr;
-  /// Remote isolation only: forked pipe workers to run alongside the socket
-  /// workers in the same supervisor loop (0 = serve remote workers only).
+  /// Remote isolation only: forked local workers (socketpair, as under
+  /// kProcess) to run alongside the remote workers in the same supervisor
+  /// loop (0 = serve remote workers only).
   int remote_local_workers = 0;
   /// Remote isolation only: idle socket workers are pinged every this many
   /// ms (0 disables liveness probing) and must pong within
@@ -501,7 +503,7 @@ class CampaignJournalWriter {
 /// Serializes one JobResult as a journal CSV record (trailing '\n'
 /// included). Every numeric field uses round-trippable formatting, so
 /// parse_job_result restores it bit-identically. This row format doubles as
-/// the worker pipe protocol's result payload (sim/worker_proc.cpp).
+/// the worker frame protocol's result payload (sim/worker_proc.cpp).
 [[nodiscard]] std::string serialize_job_result(const JobResult& result);
 
 /// Restores a JobResult from the fields of one journal record. Only

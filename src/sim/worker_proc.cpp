@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -11,7 +12,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <sstream>
@@ -30,6 +30,10 @@
 namespace tmemo {
 
 namespace {
+
+/// Why a remote worker is gone when its connection simply ended.
+constexpr const char* kConnectionLost =
+    "remote worker disconnected (connection lost)";
 
 /// Backoff ceiling between a crash and the replacement fork.
 constexpr int kMaxRespawnBackoffMs = 200;
@@ -51,10 +55,7 @@ double wall_elapsed_ms(std::chrono::steady_clock::time_point since) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker child. Forked from the supervisor, so it inherits spec, jobs and
-// the workload factory; only (job index, attempt) ever crosses the pipe.
-// Every exit path is _exit() or a raised signal — a forked gtest/ASan child
-// must never run the parent's atexit machinery.
+// Worker side: the one job loop, shared by forked workers and tmemo_workerd.
 
 /// Dies the way the injection plan asks. Signal handlers installed by the
 /// host (sanitizers, gtest death tests) are reset first so the death is
@@ -66,54 +67,98 @@ double wall_elapsed_ms(std::chrono::steady_clock::time_point since) {
   _exit(111); // only reachable if the signal was blocked
 }
 
-[[noreturn]] void worker_main(const ProcessPoolRequest& req, int job_fd,
-                              int res_fd) {
-  // Private workload set, built once — exactly like a worker thread.
-  std::vector<std::unique_ptr<Workload>> workloads;
-  std::string setup_error;
-  try {
-    workloads = req.spec->factory ? req.spec->factory()
-                                  : make_all_workloads(req.spec->scale);
-  } catch (const std::exception& e) {
-    setup_error = std::string("workload setup failed: ") + e.what();
-  } catch (...) {
-    setup_error = "workload setup failed: unknown exception";
+/// One dispatch = the job's whole remaining retry budget for *clean*
+/// failures, mirroring the thread pool's in-worker retry loop so the
+/// attempts column is bit-identical across isolation modes. Crashes are the
+/// supervisor's share of the budget: a redispatch resumes at attempt+1.
+JobResult run_dispatched_job(
+    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
+    std::size_t job_index, int start_attempt, int max_attempts,
+    const std::optional<inject::WorkerCrashInjection>& inject_crash,
+    WorkerWorkloads& w) {
+  const CampaignJob& job = jobs[job_index];
+  JobResult out;
+  out.job = job;
+  const auto job_start = wall_now();
+  if (!w.setup_error.empty()) {
+    // Setup failures are environmental, not per-job: never retried.
+    out.attempts = start_attempt;
+    out.error = w.setup_error;
+  } else if (job.workload_index >= w.workloads.size()) {
+    out.attempts = start_attempt;
+    out.error = "workload factory returned fewer workloads than expected";
+  } else {
+    for (int attempt = start_attempt;; ++attempt) {
+      if (inject_crash && inject_crash->applies(job_index, attempt)) {
+        crash_now(inject_crash->signal);
+      }
+      out.attempts = attempt;
+      out.ok = false;
+      out.error.clear();
+      try {
+        const ExperimentConfig& config =
+            spec.variants.empty()
+                ? ExperimentConfig{}
+                : spec.variants[job.variant_index].config;
+        const Simulation sim(config);
+        out.report = sim.run(*w.workloads[job.workload_index], job.spec);
+        out.ok = true;
+      } catch (const std::exception& e) {
+        out.error = e.what();
+      } catch (...) {
+        out.error = "unknown exception";
+      }
+      if (out.ok || attempt >= max_attempts) break;
+    }
   }
+  out.wall_ms = wall_elapsed_ms(job_start);
+  return out;
+}
 
-  std::string payload;
+bool drain_requested(const volatile std::sig_atomic_t* drain_flag) {
+  return drain_flag != nullptr && *drain_flag != 0;
+}
+
+enum class WaitVerdict { kReadable, kDrain, kLost };
+
+/// Waits until the supervisor has bytes for us, a drain is requested, or
+/// the peer is gone. Without a drain flag the wait blocks outright; with
+/// one it wakes every kDrainPollMs, and a SIGTERM handler installed without
+/// SA_RESTART interrupts poll() so a drain is seen promptly even idle.
+WaitVerdict wait_readable(int fd, const volatile std::sig_atomic_t* drain) {
+  const int timeout_ms = drain != nullptr ? kDrainPollMs : -1;
   for (;;) {
-    if (!net::read_frame(job_fd, payload)) _exit(0); // EOF: campaign done
-    // A goodbye is the explicit form of the EOF shutdown (the socket
-    // fabric needs it; pipes accept either for symmetry).
-    if (net::peek_frame_type(payload) == net::kGoodbye) _exit(0);
-    net::JobDispatchFrame dispatch;
-    if (!net::decode_dispatch(payload, dispatch) ||
-        dispatch.job >= req.jobs->size() || dispatch.start_attempt < 1) {
-      _exit(3); // protocol violation: let the supervisor decode exit 3
+    if (drain_requested(drain)) return WaitVerdict::kDrain;
+    pollfd pfd{fd, POLLIN, 0};
+    const int rc = ::poll(&pfd, 1, timeout_ms);
+    if (rc < 0) {
+      if (errno == EINTR) continue; // signal landed; loop re-checks drain
+      return WaitVerdict::kLost;
     }
-
-    // Heartbeat before the work: tells the supervisor which job this
-    // worker now owns and arms the hard timeout from the job's true start.
-    if (!net::write_frame(res_fd,
-                          net::encode_event(net::kJobStarted, dispatch.job))) {
-      _exit(3);
-    }
-
-    const JobResult out = run_dispatched_job(
-        *req.spec, *req.jobs, static_cast<std::size_t>(dispatch.job),
-        static_cast<int>(dispatch.start_attempt), req.max_attempts,
-        req.inject_crash, workloads, setup_error);
-
-    std::ostringstream body;
-    write_sized_string(body, serialize_job_result(out));
-    const std::uint8_t has_metrics = req.want_metrics && out.ok ? 1 : 0;
-    write_pod(body, has_metrics);
-    if (has_metrics != 0) net::pack_metrics_snapshot(body, out.report.metrics);
-    if (!net::write_frame(res_fd,
-                          net::encode_result_frame(dispatch.job, body.str()))) {
-      _exit(3);
-    }
+    if (rc == 0) continue;
+    if ((pfd.revents & (POLLERR | POLLNVAL)) != 0) return WaitVerdict::kLost;
+    // POLLIN or POLLHUP: let read_frame consume what remains and decide.
+    return WaitVerdict::kReadable;
   }
+}
+
+/// A forked worker's whole life: serve the one job loop on its end of the
+/// socketpair until the supervisor's goodbye. It inherited spec, jobs and
+/// the workload factory through fork(), so only (job index, attempt) ever
+/// crosses the socket. Every exit is _exit() or a raised signal — a forked
+/// gtest/ASan child must never run the parent's atexit machinery.
+[[noreturn]] void serve_forked_worker(const ProcessPoolRequest& req, int fd) {
+  WorkerWorkloads workloads = build_worker_workloads(*req.spec);
+  net::FrameWriteShim shim; // unarmed: local slots are never chaos-injected
+  std::uint64_t jobs_done = 0;
+  std::string error;
+  const SessionEnd end =
+      serve_jobs(fd, shim, *req.spec, *req.jobs, req.max_attempts,
+                 req.inject_crash, workloads, /*shard=*/nullptr,
+                 /*drain_flag=*/nullptr, jobs_done, error);
+  // Anything but the goodbye is a broken stream: exit 3 for the
+  // supervisor to decode, should it still be there.
+  _exit(end == SessionEnd::kComplete ? 0 : 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -126,19 +171,13 @@ struct QueueItem {
   int attempt = 1;
 };
 
+/// One worker, forked or remote: the same frames over one nonblocking
+/// stream socket either way.
 struct WorkerSlot {
-  enum class Kind {
-    kPipe,   ///< forked child, frames over a pipe pair
-    kSocket, ///< registered tmemo_workerd, frames over one TCP connection
-  };
-
-  Kind kind = Kind::kPipe;
   std::uint32_t id = 0; ///< stable slot number (timeline pid)
-  pid_t pid = -1;       ///< kPipe only
-  int job_fd = -1; ///< supervisor writes job frames here
-  int res_fd = -1; ///< supervisor reads response frames here (nonblocking;
-                   ///< == job_fd for socket workers)
-  std::string buf; ///< unparsed response bytes
+  pid_t pid = -1;       ///< > 0: a local forked child; -1: a tmemo_workerd
+  int fd = -1;          ///< socketpair end or TCP connection (nonblocking)
+  net::FrameBuffer frames; ///< unparsed response bytes
   bool live = false;
   bool busy = false;
   std::size_t job = 0;
@@ -148,14 +187,14 @@ struct WorkerSlot {
   bool deadline_armed = false;
   std::chrono::steady_clock::time_point deadline{};
   std::chrono::steady_clock::time_point job_start{};
-  // Liveness keepalive (socket slots only): when the last well-formed
+  // Liveness keepalive (remote slots only): when the last well-formed
   // frame arrived, and the one outstanding ping awaiting its pong.
   std::chrono::steady_clock::time_point last_heard{};
   bool ping_outstanding = false;
   std::uint64_t ping_seq = 0;
   std::chrono::steady_clock::time_point pong_deadline{};
-  /// Outgoing frame path (socket slots): pass-through unless the request
-  /// arms --inject-net chaos on this channel.
+  /// Every outgoing frame: pass-through unless the request arms
+  /// --inject-net chaos on this (remote) channel.
   net::FrameWriteShim shim;
 };
 
@@ -173,21 +212,17 @@ class ProcessSupervisor {
   ProcessSupervisor(const ProcessPoolRequest& req,
                     std::vector<JobResult>& results)
       : req_(req), results_(results),
-        pipe_slots_(static_cast<std::size_t>(std::max(0, req.workers))) {
-    for (std::size_t i = 0; i < pipe_slots_; ++i) {
-      WorkerSlot s;
-      s.kind = WorkerSlot::Kind::kPipe;
-      s.id = static_cast<std::uint32_t>(i);
-      slots_.push_back(s);
+        local_slots_(static_cast<std::size_t>(std::max(0, req.workers))) {
+    for (std::size_t i = 0; i < local_slots_; ++i) {
+      slots_.emplace_back().id = static_cast<std::uint32_t>(i);
     }
-    next_slot_id_ = static_cast<std::uint32_t>(pipe_slots_);
-    if (req_.want_timeline) {
+    if (req_.spec->timeline) {
       timeline_ = std::make_shared<telemetry::Timeline>();
     }
   }
 
   ProcessPoolOutcome run() {
-    // Shared with run_workerd: a dispatch to a just-died worker must
+    // Shared with run_workerd: a write to a just-died worker must
     // surface as EPIPE from write() instead of killing the campaign.
     const net::ScopedIgnoreSigpipe sigpipe;
     for (const std::size_t ji : req_.pending) queue_.push_back({ji, 1});
@@ -205,8 +240,7 @@ class ProcessSupervisor {
     if (timeline_) {
       for (const WorkerSlot& s : slots_) {
         timeline_->set_process_name(
-            s.id, (s.kind == WorkerSlot::Kind::kSocket ? "remote worker "
-                                                       : "worker ") +
+            s.id, (s.id < local_slots_ ? "worker " : "remote worker ") +
                       std::to_string(s.id));
       }
       out.timeline = std::move(timeline_);
@@ -221,11 +255,9 @@ class ProcessSupervisor {
     return n;
   }
 
-  [[nodiscard]] std::size_t live_pipe_count() const {
+  [[nodiscard]] std::size_t live_local_count() const {
     std::size_t n = 0;
-    for (const WorkerSlot& s : slots_) {
-      n += s.kind == WorkerSlot::Kind::kPipe && s.live ? 1 : 0;
-    }
+    for (const WorkerSlot& s : slots_) n += s.live && s.pid > 0 ? 1 : 0;
     return n;
   }
 
@@ -236,18 +268,18 @@ class ProcessSupervisor {
                                         args);
   }
 
-  /// Keeps live pipe workers matched to remaining work; a fork after the
+  /// Keeps live local workers matched to remaining work; a fork after the
   /// initial wave is by definition a respawn and pays the bounded backoff
-  /// the crash streak has earned. Socket workers arrive on their own
+  /// the crash streak has earned. Remote workers arrive on their own
   /// schedule and are never spawned from here.
   void spawn_needed() {
     const std::size_t want =
-        std::min(pipe_slots_, queue_.size() + busy_count());
-    while (live_pipe_count() < want) {
+        std::min(local_slots_, queue_.size() + busy_count());
+    while (live_local_count() < want) {
       WorkerSlot* slot = nullptr;
-      for (WorkerSlot& s : slots_) {
-        if (s.kind == WorkerSlot::Kind::kPipe && !s.live) {
-          slot = &s;
+      for (std::size_t i = 0; i < local_slots_; ++i) {
+        if (!slots_[i].live) {
+          slot = &slots_[i];
           break;
         }
       }
@@ -260,7 +292,7 @@ class ProcessSupervisor {
       }
       if (!spawn(*slot)) {
         ++spawn_failures_;
-        TM_REQUIRE(live_pipe_count() > 0 || has_remote_capacity() ||
+        TM_REQUIRE(live_local_count() > 0 || has_remote_capacity() ||
                        spawn_failures_ < 100,
                    "campaign worker pool: cannot fork any worker");
         return; // retry on the next loop iteration
@@ -271,64 +303,52 @@ class ProcessSupervisor {
   }
 
   /// True when remote workers can still carry the campaign even with zero
-  /// live pipe workers: a listener is accepting, or a socket worker is
+  /// live local workers: a listener is accepting, or a remote worker is
   /// already registered.
   [[nodiscard]] bool has_remote_capacity() const {
     if (req_.listener != nullptr && req_.listener->is_open()) return true;
     for (const WorkerSlot& s : slots_) {
-      if (s.kind == WorkerSlot::Kind::kSocket && s.live) return true;
+      if (s.live && s.pid <= 0) return true;
     }
     return false;
   }
 
   bool spawn(WorkerSlot& slot) {
-    int job_pipe[2] = {-1, -1};
-    int res_pipe[2] = {-1, -1};
-    if (::pipe(job_pipe) != 0) return false;
-    if (::pipe(res_pipe) != 0) {
-      ::close(job_pipe[0]);
-      ::close(job_pipe[1]);
-      return false;
-    }
+    int sv[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
     const pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(job_pipe[0]);
-      ::close(job_pipe[1]);
-      ::close(res_pipe[0]);
-      ::close(res_pipe[1]);
+      close_fd(sv[0]);
+      close_fd(sv[1]);
       return false;
     }
     if (pid == 0) {
-      // Child: drop the supervisor's ends and every sibling's fds — pipe
-      // or socket — or a crashed sibling's EOF would be held open by this
-      // process; the listener too, or the port would outlive the
-      // supervisor.
-      ::close(job_pipe[1]);
-      ::close(res_pipe[0]);
+      // Child: drop the supervisor's end and every sibling's connection, or
+      // a crashed sibling's EOF would be held open by this process; the
+      // listener too, or the port would outlive the supervisor.
+      ::close(sv[0]);
       for (const WorkerSlot& other : slots_) {
-        if (!other.live) continue;
-        ::close(other.job_fd);
-        if (other.res_fd != other.job_fd) ::close(other.res_fd);
+        if (other.live) ::close(other.fd);
       }
       for (const PendingConn& p : pending_) ::close(p.fd);
       if (req_.listener != nullptr && req_.listener->is_open()) {
         ::close(req_.listener->fd());
       }
-      worker_main(req_, job_pipe[0], res_pipe[1]); // never returns
+      serve_forked_worker(req_, sv[1]); // never returns
     }
-    ::close(job_pipe[0]);
-    ::close(res_pipe[1]);
-    // The nonblocking flag is load-bearing: drain() spins on read() until
-    // EAGAIN, so a silently-blocking pipe would hang the whole campaign.
-    const int flags = ::fcntl(res_pipe[0], F_GETFL, 0);
+    close_fd(sv[1]);
+    // The nonblocking flag is load-bearing: drain() reads until EAGAIN, so
+    // a silently-blocking socket would hang the whole campaign. Only the
+    // supervisor's end: the child's job loop reads blocking.
+    const int flags = ::fcntl(sv[0], F_GETFL, 0);
     const int set_rc =
-        flags == -1 ? -1 : ::fcntl(res_pipe[0], F_SETFL, flags | O_NONBLOCK);
+        flags == -1 ? -1 : ::fcntl(sv[0], F_SETFL, flags | O_NONBLOCK);
     TM_REQUIRE(set_rc != -1,
-               "campaign worker pool: cannot set O_NONBLOCK on result pipe");
+               "campaign worker pool: cannot set O_NONBLOCK on a worker "
+               "socket");
     slot.pid = pid;
-    slot.job_fd = job_pipe[1];
-    slot.res_fd = res_pipe[0];
-    slot.buf.clear();
+    slot.fd = sv[0];
+    slot.frames = net::FrameBuffer{};
     slot.live = true;
     slot.busy = false;
     slot.heartbeat_seen = false;
@@ -367,26 +387,15 @@ class ProcessSupervisor {
       // dispatch swallowed by a half-open socket is still reclaimed.
       s.deadline_armed = false;
       s.job_start = wall_now();
-      const bool sent = s.kind == WorkerSlot::Kind::kSocket
-                            ? s.shim.write(s.job_fd, msg)
-                            : net::write_frame(s.job_fd, msg);
-      if (!sent) {
+      if (!s.shim.write(s.fd, msg)) {
         // The worker died between jobs (EPIPE/ECONNRESET). Put the job
-        // back and handle the death.
+        // back and handle the death. Read what it sent first: a draining
+        // workerd says goodbye and closes, and its goodbye may be waiting
+        // unread behind the reset.
         s.busy = false;
         queue_.push_front(item);
-        if (s.kind == WorkerSlot::Kind::kPipe) {
-          reap(s);
-        } else {
-          // A draining workerd says goodbye and closes; the write fails
-          // once its close resets the connection, but the goodbye may
-          // already be waiting unread. Honor it before calling the
-          // connection lost.
-          drain(s);
-          if (s.live) {
-            disconnect(s, "remote worker disconnected (connection lost)");
-          }
-        }
+        drain(s);
+        if (s.live) lose(s, kConnectionLost);
       }
     }
   }
@@ -399,7 +408,7 @@ class ProcessSupervisor {
     constexpr std::size_t kNotASlot = static_cast<std::size_t>(-1);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (!slots_[i].live) continue;
-      fds.push_back(pollfd{slots_[i].res_fd, POLLIN, 0});
+      fds.push_back(pollfd{slots_[i].fd, POLLIN, 0});
       fd_slot.push_back(i);
     }
     const std::size_t worker_entries = fds.size();
@@ -448,7 +457,7 @@ class ProcessSupervisor {
         const auto timeout = std::chrono::milliseconds(
             std::max(1, req_.keepalive_timeout_ms));
         for (const WorkerSlot& s : slots_) {
-          if (!s.live || s.kind != WorkerSlot::Kind::kSocket) continue;
+          if (!s.live || s.pid > 0) continue;
           if (s.busy) {
             if (!s.heartbeat_seen) {
               consider_deadline(s.job_start + interval + timeout, now);
@@ -511,24 +520,7 @@ class ProcessSupervisor {
   /// valid HelloFrame or the connection is rejected.
   void drain_pending(std::size_t index) {
     PendingConn& p = pending_[index];
-    bool broken = false;
-    char tmp[4096];
-    for (;;) {
-      const ssize_t r = ::read(p.fd, tmp, sizeof tmp);
-      if (r > 0) {
-        p.frames.append(tmp, static_cast<std::size_t>(r));
-        continue;
-      }
-      if (r == 0) {
-        broken = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      broken = true;
-      break;
-    }
-
+    const bool broken = !read_available(p.fd, p.frames);
     std::string payload;
     const net::FrameBuffer::Next next = p.frames.next(payload);
     if (next == net::FrameBuffer::Next::kFrame) {
@@ -561,10 +553,10 @@ class ProcessSupervisor {
     ack.accepted = verdict == net::HelloReject::kAccepted ? 1 : 0;
     ack.reason = static_cast<std::uint32_t>(verdict);
     ack.max_attempts = static_cast<std::int32_t>(req_.max_attempts);
-    // Mirror the spec's telemetry switches bit-for-bit (not want_metrics,
-    // which is their OR): the workerd re-derives per-job RunSpecs from
-    // these, and a job that collects metrics it shouldn't would leak into
-    // the campaign-level merge.
+    // Mirror the spec's telemetry switches bit-for-bit (not their OR,
+    // which decides whether results carry metrics): the workerd re-derives
+    // per-job RunSpecs from these, and a job that collects metrics it
+    // shouldn't would leak into the campaign-level merge.
     ack.capabilities =
         static_cast<std::uint16_t>(
             (req_.spec->metrics ? net::kCapMetrics : 0) |
@@ -578,11 +570,10 @@ class ProcessSupervisor {
     }
 
     WorkerSlot slot;
-    slot.kind = WorkerSlot::Kind::kSocket;
-    slot.id = next_slot_id_++;
-    slot.job_fd = p.fd;
-    slot.res_fd = p.fd;
-    slot.buf = p.frames.take_buffered(); // pipelined post-handshake bytes
+    slot.id = static_cast<std::uint32_t>(slots_.size());
+    slot.fd = p.fd;
+    const std::string pipelined = p.frames.take_buffered();
+    slot.frames.append(pipelined.data(), pipelined.size());
     slot.live = true;
     slot.last_heard = wall_now(); // registration counts as liveness
     if (req_.inject_net && req_.inject_net->enabled()) {
@@ -617,46 +608,21 @@ class ProcessSupervisor {
     }
   }
 
-  /// Reads everything available from a worker, parses complete frames, and
-  /// handles worker death on EOF (reap for pipes, disconnect for sockets).
+  /// Reads everything available from a worker, handles each complete
+  /// frame, and treats EOF as the worker's loss.
   void drain(WorkerSlot& s) {
-    bool eof = false;
-    char tmp[65536];
-    for (;;) {
-      const ssize_t r = ::read(s.res_fd, tmp, sizeof tmp);
-      if (r > 0) {
-        s.buf.append(tmp, static_cast<std::size_t>(r));
-        continue;
-      }
-      if (r == 0) {
-        eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      eof = true; // read error: treat like a vanished worker
-      break;
-    }
+    const bool open = read_available(s.fd, s.frames);
+    std::string payload;
     while (s.live) {
-      if (s.buf.size() < sizeof(FrameHeader)) break;
-      FrameHeader hdr;
-      std::memcpy(&hdr, s.buf.data(), sizeof hdr);
-      if (hdr.len > net::kMaxFrameBytes) {
+      const net::FrameBuffer::Next next = s.frames.next(payload);
+      if (next == net::FrameBuffer::Next::kNeedMore) break;
+      if (next == net::FrameBuffer::Next::kOversize) {
         protocol_error(s);
         return;
       }
-      if (s.buf.size() < sizeof hdr + hdr.len) break;
-      const std::string payload = s.buf.substr(sizeof hdr, hdr.len);
-      s.buf.erase(0, sizeof hdr + hdr.len);
       handle_frame(s, payload);
     }
-    if (eof && s.live) {
-      if (s.kind == WorkerSlot::Kind::kPipe) {
-        reap(s);
-      } else {
-        disconnect(s, "remote worker disconnected (connection lost)");
-      }
-    }
+    if (!open && s.live) lose(s, kConnectionLost);
   }
 
   void handle_frame(WorkerSlot& s, const std::string& payload) {
@@ -671,8 +637,7 @@ class ProcessSupervisor {
       case net::kPong:
         // Exactly one probe can be outstanding, so the echoed sequence
         // number must match it; anything else is a corrupted stream.
-        if (s.kind != WorkerSlot::Kind::kSocket || !s.ping_outstanding ||
-            hdr.job != s.ping_seq) {
+        if (!s.ping_outstanding || hdr.job != s.ping_seq) {
           protocol_error(s);
           return;
         }
@@ -708,7 +673,7 @@ class ProcessSupervisor {
     }
     if (s.timeout_killed) {
       // The kill already won: a result that raced the SIGKILL through the
-      // pipe is discarded, exactly like the thread pool discards a run
+      // socket is discarded, exactly like the thread pool discards a run
       // that finished over budget. The reap will record the timeout.
       return;
     }
@@ -766,29 +731,22 @@ class ProcessSupervisor {
   /// before the worker read it, so the job never ran — the job is requeued
   /// at the SAME attempt, burning no retry budget and counting no crash.
   void handle_goodbye(WorkerSlot& s) {
-    if (s.kind != WorkerSlot::Kind::kSocket) {
-      protocol_error(s); // pipe workers shut down by EOF, never goodbye
-      return;
-    }
     ++stats_.remote_drains;
     note("worker_drain", s,
          {{"mid_job", static_cast<std::uint64_t>(s.busy ? 1 : 0)}});
     const bool was_busy = s.busy;
     const QueueItem raced{s.job, s.attempt};
-    close_fd(s.job_fd);
-    s.job_fd = s.res_fd = -1;
-    s.live = false;
+    (void)close_slot(s);
     s.busy = false;
     s.deadline_armed = false;
-    s.ping_outstanding = false;
-    s.buf.clear();
     if (was_busy) queue_.push_front(raced);
   }
 
-  /// Liveness enforcement for socket workers: ping idle connections, drop
+  /// Liveness enforcement for remote workers: ping idle connections, drop
   /// the ones that miss their pong deadline, and reclaim dispatched jobs
   /// whose heartbeat never arrived — the three faces of a half-open
-  /// connection. Pipe workers need none of this (pipe EOF is prompt).
+  /// connection. Local workers need none of this (socketpair EOF is
+  /// prompt).
   void enforce_keepalive() {
     if (req_.keepalive_interval_ms <= 0) return;
     const auto now = wall_now();
@@ -796,7 +754,7 @@ class ProcessSupervisor {
     const auto timeout =
         std::chrono::milliseconds(std::max(1, req_.keepalive_timeout_ms));
     for (WorkerSlot& s : slots_) {
-      if (!s.live || s.kind != WorkerSlot::Kind::kSocket) continue;
+      if (!s.live || s.pid > 0) continue;
       if (s.busy) {
         // A busy worker cannot pong (the job loop is single-threaded), but
         // a dispatch that was never even acknowledged within the keepalive
@@ -819,9 +777,8 @@ class ProcessSupervisor {
       if (now - s.last_heard >= interval) {
         ++s.ping_seq;
         ++stats_.remote_keepalive_pings;
-        if (!s.shim.write(s.job_fd,
-                          net::encode_event(net::kPing, s.ping_seq))) {
-          disconnect(s, "remote worker disconnected (connection lost)");
+        if (!s.shim.write(s.fd, net::encode_event(net::kPing, s.ping_seq))) {
+          disconnect(s, kConnectionLost);
           continue;
         }
         s.ping_outstanding = true;
@@ -831,29 +788,44 @@ class ProcessSupervisor {
   }
 
   /// A worker that breaks the framing contract is as good as crashed: kill
-  /// it (pipe) or drop the connection (socket) and classify the death.
+  /// it (local) or drop the connection (remote) and classify the death.
   void protocol_error(WorkerSlot& s) {
-    if (s.kind == WorkerSlot::Kind::kPipe) {
-      ::kill(s.pid, SIGKILL);
+    if (s.pid > 0) ::kill(s.pid, SIGKILL);
+    lose(s, "remote worker broke the frame protocol; connection dropped");
+  }
+
+  /// The one path for a worker gone from its slot: a local child's death
+  /// is decoded from its wait status, a remote worker's from `cause`.
+  void lose(WorkerSlot& s, const char* cause) {
+    if (s.pid > 0) {
       reap(s);
     } else {
-      disconnect(s, "remote worker broke the frame protocol; "
-                    "connection dropped");
+      disconnect(s, cause);
     }
   }
 
-  /// Handles a pipe worker's death: decode the wait status, then either
+  /// Closes a slot's connection; a local child is then waited for, so none
+  /// is left unreaped. Returns the child's wait status (0 for a remote
+  /// slot).
+  int close_slot(WorkerSlot& s) {
+    close_fd(s.fd);
+    s.fd = -1;
+    s.live = false;
+    s.ping_outstanding = false;
+    s.frames = net::FrameBuffer{};
+    int status = 0;
+    if (s.pid > 0) {
+      while (::waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
+      }
+    }
+    return status;
+  }
+
+  /// Handles a local worker's death: decode the wait status, then either
   /// record the in-flight job's failure or re-dispatch it under the retry
   /// budget.
   void reap(WorkerSlot& s) {
-    ::close(s.job_fd);
-    ::close(s.res_fd);
-    s.job_fd = s.res_fd = -1;
-    s.live = false;
-    s.buf.clear();
-    int status = 0;
-    while (::waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
-    }
+    const int status = close_slot(s);
 
     if (!s.busy) {
       // Died between jobs: no job harmed, but the slot still needs a
@@ -866,12 +838,7 @@ class ProcessSupervisor {
     s.busy = false;
     s.deadline_armed = false;
 
-    JobResult res;
-    res.job = (*req_.jobs)[s.job];
-    res.ok = false;
-    res.attempts = s.attempt;
-    res.wall_ms = wall_elapsed_ms(s.job_start);
-
+    JobResult res = in_flight_failure(s);
     if (s.timeout_killed) {
       res.timed_out = true;
       res.error = "job exceeded " + format_ms(req_.job_timeout_ms) +
@@ -890,15 +857,11 @@ class ProcessSupervisor {
     redispatch_or_finalize(s, res);
   }
 
-  /// Handles a socket worker's loss: the same crash taxonomy as reap(),
+  /// Handles a remote worker's loss: the same crash taxonomy as reap(),
   /// minus the waitpid (the process is on another machine; all we know is
   /// the connection state).
   void disconnect(WorkerSlot& s, const char* cause) {
-    close_fd(s.job_fd);
-    s.job_fd = s.res_fd = -1;
-    s.live = false;
-    s.ping_outstanding = false;
-    s.buf.clear();
+    (void)close_slot(s);
     ++stats_.remote_disconnects;
     note("worker_disconnect", s,
          {{"mid_job", static_cast<std::uint64_t>(s.busy ? 1 : 0)}});
@@ -907,15 +870,21 @@ class ProcessSupervisor {
     s.busy = false;
     s.deadline_armed = false;
 
+    JobResult res = in_flight_failure(s);
+    ++stats_.crashes;
+    res.error = std::string(cause);
+    if (!s.heartbeat_seen) res.error += " before acknowledging the job";
+    redispatch_or_finalize(s, res);
+  }
+
+  /// The failed result of the job `s` was running when its worker went.
+  [[nodiscard]] JobResult in_flight_failure(const WorkerSlot& s) const {
     JobResult res;
     res.job = (*req_.jobs)[s.job];
     res.ok = false;
     res.attempts = s.attempt;
     res.wall_ms = wall_elapsed_ms(s.job_start);
-    ++stats_.crashes;
-    res.error = std::string(cause);
-    if (!s.heartbeat_seen) res.error += " before acknowledging the job";
-    redispatch_or_finalize(s, res);
+    return res;
   }
 
   /// The crash consumed one attempt; the redispatch resumes after it —
@@ -945,25 +914,18 @@ class ProcessSupervisor {
       note("job_timeout_kill", s,
            {{"job", static_cast<std::uint64_t>(s.job)},
             {"attempt", static_cast<std::uint64_t>(s.attempt)}});
-      if (s.kind == WorkerSlot::Kind::kPipe) {
+      if (s.pid > 0) {
         ::kill(s.pid, SIGKILL);
-        // EOF on the result pipe follows; reap() records the timeout.
+        // EOF on the socket follows; reap() records the timeout.
       } else {
         // No SIGKILL across machines: dropping the connection is the whole
         // enforcement arsenal. Record the timeout verdict directly.
-        JobResult res;
-        res.job = (*req_.jobs)[s.job];
-        res.ok = false;
+        JobResult res = in_flight_failure(s);
         res.timed_out = true;
-        res.attempts = s.attempt;
-        res.wall_ms = wall_elapsed_ms(s.job_start);
         res.error = "job exceeded " + format_ms(req_.job_timeout_ms) +
                     " ms hard timeout (remote worker disconnected)";
-        close_fd(s.job_fd);
-        s.job_fd = s.res_fd = -1;
-        s.live = false;
+        (void)close_slot(s);
         s.busy = false;
-        s.buf.clear();
         finalize(res);
       }
     }
@@ -975,30 +937,35 @@ class ProcessSupervisor {
   }
 
   void shutdown() {
-    // Closing the job pipe (or socket) is the protocol's shutdown signal:
-    // idle workers read EOF and exit cleanly.
+    // An explicit goodbye before every close: a forked worker exits on it,
+    // and a reconnecting workerd tells "campaign complete" (exit cleanly)
+    // from a lost connection (re-dial) by it. Best-effort — the campaign is
+    // over either way. Every goodbye goes out before the first close waits
+    // for a child, so the children exit in parallel.
     for (WorkerSlot& s : slots_) {
-      if (!s.live) continue;
-      if (s.kind == WorkerSlot::Kind::kPipe) {
-        ::close(s.job_fd);
-        ::close(s.res_fd);
-        s.job_fd = s.res_fd = -1;
-        int status = 0;
-        while (::waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-      } else {
-        // An explicit goodbye before the close: a reconnecting workerd
-        // distinguishes "campaign complete" (exit cleanly) from a lost
-        // connection (re-dial) by this frame. Best-effort — the campaign
-        // is over either way.
-        (void)s.shim.write(s.job_fd, net::encode_event(net::kGoodbye, 0));
-        close_fd(s.job_fd);
-        s.job_fd = s.res_fd = -1;
-      }
-      s.live = false;
+      if (s.live) (void)s.shim.write(s.fd, net::encode_event(net::kGoodbye, 0));
+    }
+    for (WorkerSlot& s : slots_) {
+      if (s.live) (void)close_slot(s);
     }
     for (const PendingConn& p : pending_) close_fd(p.fd);
     pending_.clear();
+  }
+
+  /// Reads everything a nonblocking fd has into `frames`. False when the
+  /// peer is gone (EOF or a read error).
+  static bool read_available(int fd, net::FrameBuffer& frames) {
+    char tmp[65536];
+    for (;;) {
+      const ssize_t r = ::read(fd, tmp, sizeof tmp);
+      if (r > 0) {
+        frames.append(tmp, static_cast<std::size_t>(r));
+        continue;
+      }
+      if (r == 0) return false;
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
+    }
   }
 
   static void close_fd(int fd) {
@@ -1050,66 +1017,146 @@ class ProcessSupervisor {
 
   const ProcessPoolRequest& req_;
   std::vector<JobResult>& results_;
-  /// Fixed pipe slots first, socket slots appended as workers register.
+  /// Fixed local slots first, remote slots appended as workers register.
   /// A deque so slot references stay valid across the appends.
   std::deque<WorkerSlot> slots_;
-  std::size_t pipe_slots_ = 0;   ///< fixed count of forked-worker slots
-  std::uint32_t next_slot_id_ = 0;
+  std::size_t local_slots_ = 0;  ///< fixed count of forked-worker slots
   std::vector<PendingConn> pending_; ///< accepted, not yet registered
   std::deque<QueueItem> queue_;
   WorkerPoolStats stats_;
   std::shared_ptr<telemetry::Timeline> timeline_;
   std::uint64_t seq_ = 0;   ///< ordinal timeline timestamp
-  int crash_streak_ = 0;    ///< consecutive pipe crashes since a result
-  int spawn_failures_ = 0;  ///< consecutive failed fork/pipe attempts
+  int crash_streak_ = 0;    ///< consecutive local crashes since a result
+  int spawn_failures_ = 0;  ///< consecutive failed socketpair/fork attempts
   bool initial_wave_done_ = false;
 };
 
 } // namespace
 
-JobResult run_dispatched_job(
-    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
-    std::size_t job_index, int start_attempt, int max_attempts,
+WorkerWorkloads build_worker_workloads(const SweepSpec& spec) {
+  WorkerWorkloads w;
+  try {
+    w.workloads =
+        spec.factory ? spec.factory() : make_all_workloads(spec.scale);
+  } catch (const std::exception& e) {
+    w.setup_error = std::string("workload setup failed: ") + e.what();
+  } catch (...) {
+    w.setup_error = "workload setup failed: unknown exception";
+  }
+  return w;
+}
+
+SessionEnd serve_jobs(
+    int fd, net::FrameWriteShim& shim, const SweepSpec& spec,
+    const std::vector<CampaignJob>& jobs, int max_attempts,
     const std::optional<inject::WorkerCrashInjection>& inject_crash,
-    std::vector<std::unique_ptr<Workload>>& workloads,
-    const std::string& setup_error) {
-  const CampaignJob& job = jobs[job_index];
-  JobResult out;
-  out.job = job;
-  const auto job_start = wall_now();
-  if (!setup_error.empty()) {
-    // Setup failures are environmental, not per-job: never retried.
-    out.attempts = start_attempt;
-    out.error = setup_error;
-  } else if (job.workload_index >= workloads.size()) {
-    out.attempts = start_attempt;
-    out.error = "workload factory returned fewer workloads than expected";
-  } else {
-    for (int attempt = start_attempt;; ++attempt) {
-      if (inject_crash && inject_crash->applies(job_index, attempt)) {
-        crash_now(inject_crash->signal);
+    WorkerWorkloads& workloads, CampaignJournalWriter* shard,
+    const volatile std::sig_atomic_t* drain_flag, std::uint64_t& jobs_done,
+    std::string& error) {
+  const bool want_metrics = spec.metrics || spec.timeline;
+  std::string payload;
+  for (;;) {
+    switch (wait_readable(fd, drain_flag)) {
+      case WaitVerdict::kDrain:
+        // Nothing is in flight (jobs run synchronously below) and every
+        // shard record is already fsynced; goodbye is best-effort — a
+        // draining worker must not hang on a dead supervisor.
+        (void)shim.write(fd, net::encode_event(net::kGoodbye, jobs_done));
+        return SessionEnd::kDrained;
+      case WaitVerdict::kLost:
+        error = "connection lost while waiting for work";
+        return SessionEnd::kLost;
+      case WaitVerdict::kReadable:
+        break;
+    }
+    if (!net::read_frame(fd, payload)) {
+      error = "connection lost while waiting for work";
+      return SessionEnd::kLost;
+    }
+
+    net::JobDispatchFrame dispatch;
+    switch (net::peek_frame_type(payload)) {
+      case net::kGoodbye: {
+        // Verify before honoring: a corrupted frame whose first byte
+        // happens to read kGoodbye must not end the session as "campaign
+        // complete" — reconnect (kLost) is the honest verdict.
+        net::EventFrameHeader bye;
+        if (!net::decode_event_header(payload, bye)) {
+          error = "corrupted goodbye frame from supervisor";
+          return SessionEnd::kLost;
+        }
+        return SessionEnd::kComplete;
       }
-      out.attempts = attempt;
-      out.ok = false;
-      out.error.clear();
+      case net::kPing: {
+        net::EventFrameHeader ping;
+        if (!net::decode_event_header(payload, ping)) {
+          error = "corrupted liveness probe from supervisor";
+          return SessionEnd::kLost;
+        }
+        // Echo the sequence number so the supervisor can match the pong
+        // to its outstanding probe.
+        if (!shim.write(fd, net::encode_event(net::kPong, ping.job))) {
+          error = "connection lost while answering a liveness probe";
+          return SessionEnd::kLost;
+        }
+        continue;
+      }
+      case net::kJobDispatch:
+        if (!net::decode_dispatch(payload, dispatch) ||
+            dispatch.job >= jobs.size() || dispatch.start_attempt < 1) {
+          error = "corrupted dispatch frame from supervisor";
+          return SessionEnd::kLost;
+        }
+        break;
+      default:
+        error = "unrecognized frame from supervisor (corrupted stream?)";
+        return SessionEnd::kLost;
+    }
+
+    // Heartbeat before the work: tells the supervisor which job this
+    // worker now owns and arms the hard timeout from the job's true start.
+    if (!shim.write(fd, net::encode_event(net::kJobStarted, dispatch.job))) {
+      error = "connection lost while acknowledging a job";
+      return SessionEnd::kLost;
+    }
+
+    const JobResult result = run_dispatched_job(
+        spec, jobs, static_cast<std::size_t>(dispatch.job),
+        static_cast<int>(dispatch.start_attempt), max_attempts, inject_crash,
+        workloads);
+    if (shard != nullptr && shard->is_open()) {
       try {
-        const ExperimentConfig& config =
-            spec.variants.empty()
-                ? ExperimentConfig{}
-                : spec.variants[job.variant_index].config;
-        const Simulation sim(config);
-        out.report = sim.run(*workloads[job.workload_index], job.spec);
-        out.ok = true;
+        shard->append(result);
       } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown exception";
+        // A worker whose shard cannot persist results must stop, loudly:
+        // reconnecting cannot heal a full disk, and serving on without a
+        // journal would silently break the crash-resume contract. The
+        // result frame for this job is deliberately NOT sent — the
+        // supervisor re-dispatches it to a worker that can persist it.
+        error = std::string("journal shard write failed: ") + e.what();
+        return SessionEnd::kArtifact;
       }
-      if (out.ok || attempt >= max_attempts) break;
+    }
+
+    std::ostringstream body;
+    write_sized_string(body, serialize_job_result(result));
+    const std::uint8_t has_metrics = want_metrics && result.ok ? 1 : 0;
+    write_pod(body, has_metrics);
+    if (has_metrics != 0) {
+      net::pack_metrics_snapshot(body, result.report.metrics);
+    }
+    if (!shim.write(fd, net::encode_result_frame(dispatch.job, body.str()))) {
+      error = "connection lost while delivering a result";
+      return SessionEnd::kLost;
+    }
+    ++jobs_done;
+
+    if (drain_requested(drain_flag)) {
+      // The in-flight job finished and its result went out; now leave.
+      (void)shim.write(fd, net::encode_event(net::kGoodbye, jobs_done));
+      return SessionEnd::kDrained;
     }
   }
-  out.wall_ms = wall_elapsed_ms(job_start);
-  return out;
 }
 
 ProcessPoolOutcome run_process_pool(const ProcessPoolRequest& req,
@@ -1120,7 +1167,7 @@ ProcessPoolOutcome run_process_pool(const ProcessPoolRequest& req,
              "process pool: max_attempts must be >= 1");
   TM_REQUIRE(req.workers >= 1 ||
                  (req.listener != nullptr && req.listener->is_open()),
-             "process pool: need at least one pipe worker or an open "
+             "process pool: need at least one forked worker or an open "
              "listener for remote workers");
   TM_REQUIRE(results.size() == req.jobs->size(),
              "process pool: results must be pre-sized to the job list");

@@ -6,30 +6,32 @@
 // journal — with it. run_process_pool trades a fork() per worker for
 // containment: a supervisor (the calling thread; it stays single-threaded,
 // which keeps fork() safe under TSan) forks N workers, feeds them jobs over
-// a length-prefixed frame protocol (net/frame.hpp), and turns every way
-// a worker can die — signal, nonzero exit, clean exit without replying,
-// blown hard timeout — into a decoded JobResult::error while every other
-// job completes. Crashed in-flight jobs are re-dispatched under the retry
-// budget, replacement workers are forked with bounded backoff, and the
-// whole campaign remains bit-identical to thread isolation (wall_ms aside)
-// because nothing but the job index and attempt number crosses the pipe:
-// each worker rebuilds spec/workloads from the inherited address space,
-// exactly like a worker thread would.
+// a length-prefixed frame protocol (net/frame.hpp) on one socketpair per
+// worker, and turns every way a worker can die — signal, nonzero exit,
+// clean exit without replying, blown hard timeout — into a decoded
+// JobResult::error while every other job completes. Crashed in-flight jobs
+// are re-dispatched under the retry budget, replacement workers are forked
+// with bounded backoff, and the whole campaign remains bit-identical to
+// thread isolation (wall_ms aside) because nothing but the job index and
+// attempt number crosses the socket: each worker rebuilds spec/workloads
+// from the inherited address space, exactly like a worker thread would.
 //
 // The same supervisor also runs the distributed fabric: given a
 // net::Listener it accepts tmemo_workerd TCP connections, validates each
 // peer's HelloFrame registration (protocol version, campaign digest, job
-// count), and then multiplexes socket workers and forked pipe workers in
-// the *same* poll() loop speaking the *same* dispatch/heartbeat/result
-// frames. A lost connection maps into the crash taxonomy exactly like a
-// dead forked worker: the in-flight job is re-dispatched at attempt+1
-// under the retry budget. Remote workers rebuild spec/workloads from their
-// own command line (tools/workerd/); the handshake digest catches drift.
+// count), and then serves socket and forked workers from the *same* slots
+// in the *same* poll() loop. Both kinds of worker run the one job loop,
+// serve_jobs below, so they speak the same frames by construction. A lost
+// connection maps into the crash taxonomy exactly like a dead forked
+// worker: the in-flight job is re-dispatched at attempt+1 under the retry
+// budget. Remote workers rebuild spec/workloads from their own command
+// line (tools/workerd/); the handshake digest catches drift.
 //
-// Frame grammar: net/frame.hpp. POSIX only (fork/pipe/poll/waitpid +
+// Frame grammar: net/frame.hpp. POSIX only (fork/socketpair/poll/waitpid +
 // sockets).
 #pragma once
 
+#include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -55,30 +57,23 @@ struct ProcessPoolRequest {
   /// Indices into *jobs (== slots of the results vector) to execute, in
   /// dispatch order.
   std::vector<std::size_t> pending;
-  /// Forked pipe workers. May be 0 when `listener` is set (remote workers
+  /// Forked local workers. May be 0 when `listener` is set (remote workers
   /// carry the whole campaign); must be >= 1 otherwise.
   int workers = 1;
   /// Retry budget per job; under process/remote isolation it covers worker
   /// crashes and connection losses as well as clean in-worker failures.
   int max_attempts = 1;
-  /// Hard per-job wall-clock budget in ms (0 disables): a pipe worker that
-  /// outlives it is SIGKILLed, a socket worker is disconnected; either way
+  /// Hard per-job wall-clock budget in ms (0 disables): a forked worker
+  /// that outlives it is SIGKILLed, a socket worker is disconnected; either way
   /// the job is marked timed_out and never retried.
   double job_timeout_ms = 0.0;
   /// Deterministic crash injection (inject/worker_crash.hpp).
   std::optional<inject::WorkerCrashInjection> inject_crash;
-  /// Workers ship a MetricsSnapshot back with every ok result.
-  bool want_metrics = false;
-  /// Record a supervisor lifecycle timeline (worker_spawn, worker_crash,
-  /// worker_respawn, job_redispatch, job_timeout_kill, worker_connect,
-  /// worker_disconnect, worker_reject, worker_drain instants with ordinal
-  /// — not wall-clock — timestamps).
-  bool want_timeline = false;
   /// Called on the supervising thread with every finished JobResult in
   /// completion order; null disables journaling.
   std::function<void(const JobResult&)> journal_append;
   /// Accepts remote tmemo_workerd registrations when set (not owned; must
-  /// outlive the call). Null = pipe workers only.
+  /// outlive the call). Null = forked workers only.
   net::Listener* listener = nullptr;
   /// Registration gate for remote workers: a HelloFrame whose
   /// campaign_digest differs is rejected (campaign_wire_digest).
@@ -93,14 +88,17 @@ struct ProcessPoolRequest {
   int keepalive_interval_ms = 0;
   int keepalive_timeout_ms = 2000;
   /// Deterministic chaos on the supervisor's outgoing socket frames
-  /// (net/fault.hpp); the channel salt is the worker slot id. Pipe workers
-  /// are never injected — the chaos target is the network fabric.
+  /// (net/fault.hpp); the channel salt is the worker slot id. Forked
+  /// workers are never injected — the chaos target is the network fabric.
   std::optional<net::NetFaultSpec> inject_net;
 };
 
 struct ProcessPoolOutcome {
   WorkerPoolStats stats;
-  /// Supervisor lifecycle timeline (null unless want_timeline).
+  /// Supervisor lifecycle timeline (null unless spec->timeline): the
+  /// worker_spawn, worker_crash, worker_respawn, job_redispatch,
+  /// job_timeout_kill, worker_connect, worker_disconnect, worker_reject
+  /// and worker_drain instants, with ordinal — not wall-clock — timestamps.
   std::shared_ptr<const telemetry::Timeline> timeline;
 };
 
@@ -112,21 +110,51 @@ struct ProcessPoolOutcome {
 ProcessPoolOutcome run_process_pool(const ProcessPoolRequest& req,
                                     std::vector<JobResult>& results);
 
-/// One dispatch = the job's whole remaining retry budget for *clean*
-/// failures, mirroring the thread pool's in-worker retry loop so the
-/// attempts column is bit-identical across isolation modes. Crashes are the
-/// supervisor's share of the budget: a redispatch resumes at attempt+1.
-/// Shared by the forked pipe worker (worker_proc.cpp) and the remote
-/// tmemo_workerd job loop (net/workerd.cpp). `workloads` is the worker's
-/// private workload set; a non-empty `setup_error` marks the environment
-/// broken (recorded, never retried). When `inject_crash` applies to
-/// (job_index, attempt) the *process* dies by the injected signal — callers
-/// are worker processes whose death the supervisor decodes.
-[[nodiscard]] JobResult run_dispatched_job(
-    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
-    std::size_t job_index, int start_attempt, int max_attempts,
+/// A worker's private workload set, built once per process — exactly like
+/// a worker thread's. A non-empty `setup_error` marks the environment
+/// broken: every dispatched job records it and none is retried.
+struct WorkerWorkloads {
+  std::vector<std::unique_ptr<Workload>> workloads;
+  std::string setup_error;
+};
+
+[[nodiscard]] WorkerWorkloads build_worker_workloads(const SweepSpec& spec);
+
+/// How a serve_jobs session ended.
+enum class SessionEnd {
+  kComplete, ///< the supervisor said goodbye: campaign done
+  kDrained,  ///< a drain was requested; goodbye sent
+  kLost,     ///< connection lost / stream corrupted
+  kArtifact, ///< journal shard write failed: fatal, not reconnect material
+};
+
+/// How often an idle worker with a drain flag wakes to check it. A signal
+/// also interrupts the wait (EINTR); this is the backstop for one delivered
+/// between syscalls.
+inline constexpr int kDrainPollMs = 100;
+
+/// The one worker job loop, run by forked workers over their socketpair
+/// and by tmemo_workerd (net::run_workerd) over TCP. It serves typed frames
+/// on the blocking stream `fd`: each dispatch is acknowledged with a
+/// kJobStarted heartbeat, run with the job's whole remaining retry budget
+/// (so the attempts column matches thread isolation), appended to `shard`
+/// when one is given, and answered with its result frame — carrying a
+/// MetricsSnapshot when the spec collects metrics or a timeline. Pings are
+/// echoed; a verified goodbye ends the session as kComplete. When
+/// `drain_flag` becomes non-zero the worker finishes its in-flight job,
+/// says goodbye and returns kDrained. Every outgoing frame goes through
+/// `shim`. A frame that does not parse ends the session as kLost: under
+/// fault injection a corrupted frame and a hostile supervisor look
+/// identical, and reconnect heals both. When `inject_crash` applies to a
+/// (job, attempt) the *process* dies by the injected signal, so callers
+/// must be expendable worker processes. `jobs_done` counts delivered
+/// results; `error` says why a session ended other than kComplete.
+[[nodiscard]] SessionEnd serve_jobs(
+    int fd, net::FrameWriteShim& shim, const SweepSpec& spec,
+    const std::vector<CampaignJob>& jobs, int max_attempts,
     const std::optional<inject::WorkerCrashInjection>& inject_crash,
-    std::vector<std::unique_ptr<Workload>>& workloads,
-    const std::string& setup_error);
+    WorkerWorkloads& workloads, CampaignJournalWriter* shard,
+    const volatile std::sig_atomic_t* drain_flag, std::uint64_t& jobs_done,
+    std::string& error);
 
 } // namespace tmemo

@@ -1,6 +1,6 @@
 // Bad fixture for the R10 (syscall-discipline) socket extension: the rule
 // engages on src/net/ paths and covers the TCP fabric's syscalls. Expected:
-// 9 findings, 1 suppressed.
+// 10 findings, 1 suppressed.
 #include <cerrno>
 
 extern "C" {
@@ -84,6 +84,22 @@ void bad_getsockopt(int fd, int* so_error, unsigned* len) {
 // Discarded ::shutdown result: 1 finding.
 void bad_shutdown(int fd) {
   ::shutdown(fd, 2);
+}
+
+} // namespace fixture
+
+// -- Forked-worker socketpair -------------------------------------------------
+
+extern "C" {
+int socketpair(int, int, int, int*);
+}
+
+namespace fixture {
+
+// Discarded ::socketpair result (a failed pair leaves both fds at -1 and
+// the fork hands the worker nothing to serve): 1 finding.
+void bad_socketpair(int* sv) {
+  ::socketpair(1, 1, 0, sv);
 }
 
 } // namespace fixture

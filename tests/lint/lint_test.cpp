@@ -132,8 +132,8 @@ TEST(LintRules, R10FlagsDiscardedAndEintrNakedSyscalls) {
 
 TEST(LintRules, R10CoversSocketSyscallsUnderSrcNet) {
   const LintReport r = run_lint({fixture("bad/src/net/r10_socket.cpp")});
-  EXPECT_EQ(r.findings.size(), 9u);
-  EXPECT_EQ(count_rule(r, "syscall-discipline"), 9u);
+  EXPECT_EQ(r.findings.size(), 10u);
+  EXPECT_EQ(count_rule(r, "syscall-discipline"), 10u);
   EXPECT_EQ(r.suppressed, 1u);
   // accept/connect/send/recv are interruptible: the EINTR diagnostic must
   // fire for them, not just the discarded-result one.
@@ -188,9 +188,9 @@ TEST(LintRules, IndexRuleGoodFixtureIsFullyClean) {
 TEST(LintRules, WholeBadTreeCountsAreStable) {
   const LintReport r = run_lint({fixture("bad")});
   // 5 (R1) + 3 (R2) + 2 (R3) + 1 (R4) + 4 (R6) + 3 (R7)
-  // + 2 (R8) + 6 (R9) + 4 (R10 pipe) + 9 (R10 socket) + 4 (R11)
+  // + 2 (R8) + 6 (R9) + 4 (R10 pipe) + 10 (R10 socket) + 4 (R11)
   // + 4 (R12) + 4 (R13) + 3 (R14) + 2 (orphans).
-  EXPECT_EQ(r.findings.size(), 56u);
+  EXPECT_EQ(r.findings.size(), 57u);
   EXPECT_EQ(r.files_scanned, 15u);
   // One justified suppression per R9-R13 plus the socket fixture's and
   // the R14 fixture's.
@@ -490,7 +490,7 @@ TEST(LintSarif, ReportValidatesAgainstTheSarif210Shape) {
   }
 
   const Json& results = run.at("results");
-  EXPECT_EQ(results.array.size(), 56u);  // matches WholeBadTreeCounts
+  EXPECT_EQ(results.array.size(), 57u);  // matches WholeBadTreeCounts
   for (const Json& res : results.array) {
     EXPECT_NE(std::find(rule_ids.begin(), rule_ids.end(),
                         res.at("ruleId").string),

@@ -2,11 +2,12 @@
 // (docs/DISTRIBUTED.md): the supervisor binds an OS-chosen port via
 // CampaignRunOptions::listener and fork()ed children run net::run_workerd
 // directly — they inherit the test's WorkloadFactory through the address
-// space, exactly like pipe workers. Covers the ISSUE acceptance criteria:
-// a remote campaign is bit-identical to thread isolation, a worker killed
-// mid-job maps into the crash taxonomy and its job is redispatched, a
-// mismatched registration is rejected by name, local forked workers share
-// the supervisor loop, and metrics cross the TCP fabric exactly.
+// space, exactly like forked local workers. Covers the fabric's
+// acceptance checks: a remote campaign is bit-identical to thread isolation, a
+// worker killed mid-job maps into the crash taxonomy and its job is
+// redispatched, a mismatched registration is rejected by name, local
+// forked workers share the supervisor loop, and metrics cross the TCP
+// fabric exactly.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -15,7 +16,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +49,82 @@ SweepSpec haar_spec(int points = 3) {
   spec.axis = SweepAxis::error_rate(0.0, 0.04, points);
   return spec;
 }
+
+/// HaarWorkload(128) that runs `gate` before every job. Three Haar-128 jobs
+/// finish in milliseconds, so one worker can end the campaign before a
+/// second one has even registered; a test that asserts on who joined must
+/// hold the jobs until that has happened. Forked workers share no memory
+/// with the test, so gates talk through files.
+class GatedHaarWorkload final : public Workload {
+ public:
+  explicit GatedHaarWorkload(std::function<void()> gate)
+      : gate_(std::move(gate)) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] std::string input_parameter() const override {
+    return inner_.input_parameter();
+  }
+  [[nodiscard]] float table1_threshold() const override {
+    return inner_.table1_threshold();
+  }
+  [[nodiscard]] bool error_tolerant() const override {
+    return inner_.error_tolerant();
+  }
+  [[nodiscard]] double verify_tolerance() const override {
+    return inner_.verify_tolerance();
+  }
+  [[nodiscard]] std::uint64_t fp_op_count() const override {
+    return inner_.fp_op_count();
+  }
+  [[nodiscard]] WorkloadResult run(GpuDevice& device) const override {
+    gate_();
+    return inner_.run(device);
+  }
+
+ private:
+  HaarWorkload inner_{128};
+  std::function<void()> gate_;
+};
+
+SweepSpec gated_haar_spec(std::function<void()> gate) {
+  SweepSpec spec = haar_spec();
+  spec.factory = [gate = std::move(gate)] {
+    std::vector<std::unique_ptr<Workload>> v;
+    v.push_back(std::make_unique<GatedHaarWorkload>(gate));
+    return v;
+  };
+  return spec;
+}
+
+/// Waits until `done()` holds, for at most 10 s: a gate that never opens
+/// fails the test's assertions instead of hanging it.
+void wait_until(const std::function<bool()>& done) {
+  for (int i = 0; i < 10000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A fresh, empty marker directory private to this test process.
+std::string marker_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "tmemo_gate_" + name + "_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::size_t count_files(const std::string& dir) {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+void touch(const std::string& path) { std::ofstream(path).put('1'); }
 
 /// CSV with the wall-clock column (and optionally the attempts column, for
 /// crash-redispatch runs) blanked, for bit-identity comparisons.
@@ -92,8 +171,12 @@ void child_on_sigterm(int) { g_child_drain = 1; }
 /// workerd is a separate process that never holds the supervisor's
 /// listener, and the leaked fd would keep the port bound after the
 /// supervisor closes it (see the reconnect test).
+///
+/// When `exit_marker` is non-empty the child creates that file once
+/// run_workerd returns, just before it exits.
 pid_t fork_workerd(const SweepSpec& spec, net::Listener& listener,
-                   const net::WorkerdOptions& extra = {}) {
+                   const net::WorkerdOptions& extra = {},
+                   const std::string& exit_marker = "") {
   const std::uint16_t port = listener.bound_port();
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
@@ -110,6 +193,7 @@ pid_t fork_workerd(const SweepSpec& spec, net::Listener& listener,
   options.connect = {"127.0.0.1", port};
   options.drain_flag = &g_child_drain;
   const net::WorkerdOutcome outcome = net::run_workerd(spec, options);
+  if (!exit_marker.empty()) touch(exit_marker);
   if (outcome.ok) {
     if (outcome.drained) ::_exit(kWorkerDrained);
     ::_exit(outcome.reconnects > 0 ? kWorkerReconnected : kWorkerOk);
@@ -187,9 +271,16 @@ CampaignRunOptions remote_options(net::Listener& listener) {
 // -- Bit-identity across the TCP fabric (ISSUE acceptance) --------------------
 
 TEST(RemoteIsolation, GridIsBitIdenticalToThreadIsolation) {
-  const SweepSpec spec = haar_spec();
   const CampaignResult threads =
-      CampaignEngine(2).run(spec, CampaignRunOptions{});
+      CampaignEngine(2).run(haar_spec(), CampaignRunOptions{});
+
+  // Each worker marks its first job and then holds it until the other
+  // worker holds one too, so both must register before the campaign ends.
+  const std::string holders = marker_dir("holders");
+  const SweepSpec spec = gated_haar_spec([holders] {
+    touch(holders + "/" + std::to_string(::getpid()));
+    wait_until([&holders] { return count_files(holders) >= 2; });
+  });
 
   net::Listener listener;
   listener.open({"127.0.0.1", 0});
@@ -206,6 +297,7 @@ TEST(RemoteIsolation, GridIsBitIdenticalToThreadIsolation) {
   EXPECT_EQ(remote.worker_stats.remote_connects, 2u);
   EXPECT_EQ(remote.worker_stats.remote_rejects, 0u);
   EXPECT_EQ(remote.worker_stats.crashes, 0u);
+  std::filesystem::remove_all(holders);
 }
 
 // -- Crash taxonomy over TCP --------------------------------------------------
@@ -249,7 +341,13 @@ TEST(RemoteIsolation, WorkerKilledMidJobIsRedispatchedElsewhere) {
 // -- Registration handshake ---------------------------------------------------
 
 TEST(RemoteIsolation, MismatchedCampaignIsRejectedAtRegistration) {
-  const SweepSpec spec = haar_spec();
+  // The good worker holds its jobs until the impostor has its rejection in
+  // hand, so the campaign cannot end with the impostor still unanswered.
+  const std::string dir = marker_dir("rejected");
+  const std::string rejected = dir + "/impostor";
+  const SweepSpec spec = gated_haar_spec([rejected] {
+    wait_until([&rejected] { return std::filesystem::exists(rejected); });
+  });
   // Same job count, different grid: only the campaign digest can tell the
   // impostor apart.
   SweepSpec drifted = haar_spec();
@@ -257,7 +355,7 @@ TEST(RemoteIsolation, MismatchedCampaignIsRejectedAtRegistration) {
 
   net::Listener listener;
   listener.open({"127.0.0.1", 0});
-  const pid_t impostor = fork_workerd(drifted, listener);
+  const pid_t impostor = fork_workerd(drifted, listener, {}, rejected);
   const pid_t good = fork_workerd(spec, listener);
   const CampaignResult remote =
       CampaignEngine(2).run(spec, remote_options(listener));
@@ -267,6 +365,7 @@ TEST(RemoteIsolation, MismatchedCampaignIsRejectedAtRegistration) {
   EXPECT_TRUE(remote.all_ok());
   EXPECT_EQ(remote.worker_stats.remote_rejects, 1u);
   EXPECT_EQ(remote.worker_stats.remote_connects, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 // -- Mixed local + remote workers ---------------------------------------------
@@ -276,7 +375,7 @@ TEST(RemoteIsolation, LocalForkedWorkersShareTheSupervisorLoop) {
   const CampaignResult threads =
       CampaignEngine(2).run(spec, CampaignRunOptions{});
 
-  // No remote worker ever connects; one local pipe worker joins the same
+  // No remote worker ever connects; one local forked worker joins the same
   // poll() loop and serves the whole campaign.
   net::Listener listener;
   listener.open({"127.0.0.1", 0});
@@ -288,6 +387,27 @@ TEST(RemoteIsolation, LocalForkedWorkersShareTheSupervisorLoop) {
   EXPECT_EQ(remote.worker_stats.remote_connects, 0u);
   EXPECT_GE(remote.worker_stats.spawns, 1u);
   EXPECT_EQ(comparable_csv(remote), comparable_csv(threads));
+}
+
+TEST(RemoteIsolation, LocalSlotCrashIsDecodedInsideARemoteCampaign) {
+  // No remote worker ever connects; the one local forked worker dies by
+  // SIGSEGV on job 1 and its wait status is decoded into the job's error
+  // while the replacement finishes the other jobs.
+  net::Listener listener;
+  listener.open({"127.0.0.1", 0});
+  CampaignRunOptions options = remote_options(listener);
+  options.remote_local_workers = 1;
+  options.inject_worker_crash = inject::WorkerCrashInjection::parse("1:segv");
+  const CampaignResult remote = CampaignEngine(2).run(haar_spec(), options);
+
+  ASSERT_EQ(remote.jobs.size(), 3u);
+  EXPECT_TRUE(remote.jobs[0].ok);
+  EXPECT_FALSE(remote.jobs[1].ok);
+  EXPECT_NE(remote.jobs[1].error.find("SIGSEGV"), std::string::npos)
+      << remote.jobs[1].error;
+  EXPECT_TRUE(remote.jobs[2].ok);
+  EXPECT_EQ(remote.worker_stats.remote_connects, 0u);
+  EXPECT_EQ(remote.worker_stats.crashes, 1u);
 }
 
 // -- Telemetry across the TCP fabric ------------------------------------------

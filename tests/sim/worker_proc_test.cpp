@@ -9,7 +9,9 @@
 #include "sim/worker_proc.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -231,7 +233,10 @@ TEST(ProcessIsolation, TransientCrashIsAbsorbedByRedispatch) {
   options.max_attempts = 2;
   options.inject_worker_crash =
       inject::WorkerCrashInjection::parse("1:abrt:1");
-  const CampaignResult res = CampaignEngine(2).run(haar_spec(), options);
+  // One worker slot: the only worker dies with job 1, so the redispatch
+  // cannot run until a replacement is forked. With two slots the survivor
+  // could absorb it and no respawn would be needed.
+  const CampaignResult res = CampaignEngine(1).run(haar_spec(), options);
   ASSERT_EQ(res.jobs.size(), 3u);
   EXPECT_TRUE(res.all_ok());
   EXPECT_EQ(res.jobs[1].attempts, 2); // the crash consumed attempt 1
@@ -292,6 +297,20 @@ TEST(ProcessIsolation, HardTimeoutKillsTheWorker) {
       << res.jobs[0].error;
   EXPECT_EQ(res.worker_stats.timeout_kills, 1u);
   EXPECT_EQ(res.worker_stats.redispatches, 0u);
+}
+
+TEST(ProcessIsolation, NoChildIsLeftUnreapedAfterTheCampaign) {
+  const CampaignResult res =
+      CampaignEngine(2).run(haar_spec(), process_options());
+  ASSERT_EQ(res.jobs.size(), 3u);
+  EXPECT_TRUE(res.all_ok());
+  EXPECT_EQ(res.worker_stats.crashes, 0u);
+  EXPECT_EQ(res.worker_stats.spawns, 2u);
+  // Every forked worker was waited for before run() returned.
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 // -- Resume after a crashed campaign ------------------------------------------

@@ -147,7 +147,8 @@ class SyscallDisciplineRule final : public Rule {
         "fork",        "poll",        "read",       "write",  "waitpid",
         "pipe",        "fcntl",       "socket",     "bind",   "listen",
         "accept",      "connect",     "send",       "recv",   "setsockopt",
-        "getsockname", "getaddrinfo", "getsockopt", "shutdown"};
+        "getsockname", "getaddrinfo", "getsockopt", "shutdown",
+        "socketpair"};
     static const std::set<std::string> kInterruptible = {
         "poll", "read", "write", "waitpid", "accept", "connect",
         "send", "recv"};
