@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -72,9 +73,10 @@ void ResultTable::print(std::ostream& os) const {
   for (const auto& row : cells_) print_row(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
+std::string csv_escape(std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    return std::string(field);
+  }
   std::string out = "\"";
   for (char ch : field) {
     if (ch == '"') out += '"';
@@ -83,7 +85,13 @@ std::string csv_escape(const std::string& field) {
   out += '"';
   return out;
 }
-} // namespace
+
+std::string fmt_double(double v) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  TM_REQUIRE(ec == std::errc{}, "double formatting");
+  return std::string(buf, ptr);
+}
 
 void ResultTable::print_csv(std::ostream& os) const {
   for (std::size_t c = 0; c < headers_.size(); ++c) {

@@ -24,6 +24,7 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "common/table.hpp"
 #include "io/artifact_footer.hpp"
 #include "io/atomic_file.hpp"
 #include "net/transport.hpp"
@@ -39,26 +40,6 @@ std::string lower(std::string_view s) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
-}
-
-// Wall-clock reads are confined to wall_now() (lint rule R1): its values
-// feed only the wall_ms reporting fields, never simulation results, which
-// is why wall_ms is the one column the CI determinism check ignores.
-std::chrono::steady_clock::time_point wall_now() {
-  return std::chrono::steady_clock::now();
-}
-
-double elapsed_ms(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(wall_now() - since)
-      .count();
-}
-
-/// Shortest round-trippable decimal form of a double.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  TM_REQUIRE(ec == std::errc{}, "double formatting");
-  return std::string(buf, ptr);
 }
 
 std::string json_escape(std::string_view s) {
@@ -82,22 +63,6 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
-}
-
-// RFC-4180 quoting: a field containing a comma, quote, LF or CR is wrapped
-// in quotes with embedded quotes doubled. CR matters: an error message
-// carrying "\r\n" written unquoted would split one row into two.
-std::string csv_escape(std::string_view s) {
-  if (s.find_first_of(",\"\n\r") == std::string_view::npos) {
-    return std::string(s);
-  }
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
   return out;
 }
 
@@ -1020,78 +985,37 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
       std::min(static_cast<std::size_t>(std::max(1, jobs_)),
                std::max<std::size_t>(jobs.size(), 1)));
   result.workers = workers;
-
-  const std::vector<std::size_t> order = dispatch_order(jobs);
   const auto campaign_start = wall_now();
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> resumed{0};
 
-  // Each worker owns a private workload set, so jobs never share mutable
-  // state; results land in distinct slots, so only the journal needs a lock.
-  const auto worker = [&]() {
-    std::vector<std::unique_ptr<Workload>> workloads;
-    std::string setup_error;
-    try {
-      workloads =
-          spec.factory ? spec.factory() : make_all_workloads(spec.scale);
-    } catch (const std::exception& e) {
-      setup_error = std::string("workload setup failed: ") + e.what();
-    } catch (...) {
-      setup_error = "workload setup failed: unknown exception";
+  // Fill restored slots up front; every isolation mode runs the rest, in
+  // dispatch order.
+  std::vector<std::size_t> pending;
+  for (const std::size_t i : dispatch_order(jobs)) {
+    if (restored[i] != nullptr) {
+      result.jobs[i] = *restored[i];
+      result.jobs[i].job = jobs[i];
+      ++result.resumed_jobs;
+    } else {
+      pending.push_back(i);
     }
+  }
 
+  // Each worker thread owns a private workload set, so jobs never share
+  // mutable state; results land in distinct slots, so only the journal
+  // needs a lock. The job itself is run_job, as in a worker process.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&]() {
+    WorkerWorkloads workloads = build_worker_workloads(spec);
     for (;;) {
       const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= jobs.size()) return;
-      const std::size_t i = order[k];
+      if (k >= pending.size()) return;
+      const std::size_t i = pending[k];
       JobResult& out = result.jobs[i];
-      if (restored[i] != nullptr) {
-        out = *restored[i];
-        out.job = jobs[i];
-        resumed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      out.job = jobs[i];
-      const auto job_start = wall_now();
-      if (!setup_error.empty()) {
-        // Setup failures are environmental, not per-job: never retried.
-        out.error = setup_error;
-      } else if (jobs[i].workload_index >= workloads.size()) {
-        out.error = "workload factory returned fewer workloads than expected";
-      } else {
-        for (int attempt = 1;; ++attempt) {
-          out.attempts = attempt;
-          out.ok = false;
-          out.error.clear();
-          try {
-            const ExperimentConfig& config =
-                spec.variants.empty()
-                    ? ExperimentConfig{}
-                    : spec.variants[jobs[i].variant_index].config;
-            const Simulation sim(config);
-            out.report =
-                sim.run(*workloads[jobs[i].workload_index], jobs[i].spec);
-            out.ok = true;
-          } catch (const std::exception& e) {
-            out.error = e.what();
-          } catch (...) {
-            out.error = "unknown exception";
-          }
-          if (out.ok || attempt >= options.max_attempts) break;
-        }
-      }
-      out.wall_ms = elapsed_ms(job_start);
-      if (options.job_timeout_ms > 0.0 &&
-          out.wall_ms > options.job_timeout_ms) {
-        // Cooperative timeout: the run already finished (a worker thread
-        // cannot be preempted safely), but its result is discarded so slow
-        // outliers surface as failures rather than skewing the grid.
-        out.ok = false;
-        out.timed_out = true;
-        out.report = KernelRunReport{};
-        out.error = "job exceeded " + fmt_double(options.job_timeout_ms) +
-                    " ms timeout";
-      }
+      out = run_job(spec, jobs, i, /*start_attempt=*/1, options.max_attempts,
+                    std::nullopt, workloads);
+      // Cooperative timeout: the run already finished (a worker thread
+      // cannot be preempted safely), so only the verdict remains.
+      classify_job_timeout(out, options.job_timeout_ms);
       if (journal.is_open()) {
         const std::lock_guard<std::mutex> lock(journal_mutex);
         safe_append(out);
@@ -1104,19 +1028,10 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
                           options.isolation == IsolationMode::kRemote;
   net::Listener owned_listener;
   if (supervised) {
-    // Fill restored slots up front; everything else goes to the supervisor.
     ProcessPoolRequest req;
     req.spec = &spec;
     req.jobs = &jobs;
-    for (const std::size_t i : order) {
-      if (restored[i] != nullptr) {
-        result.jobs[i] = *restored[i];
-        result.jobs[i].job = jobs[i];
-        resumed.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        req.pending.push_back(i);
-      }
-    }
+    req.pending = std::move(pending);
     req.workers = workers;
     req.max_attempts = options.max_attempts;
     req.job_timeout_ms = options.job_timeout_ms;
@@ -1164,7 +1079,6 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
     for (int i = 0; i < workers; ++i) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  result.resumed_jobs = resumed.load(std::memory_order_relaxed);
 
   // Fold the per-job snapshots into the campaign aggregate. The fold runs
   // in job-index order after the pool joins, and the merge itself is
@@ -1215,7 +1129,7 @@ CampaignResult CampaignEngine::run(const SweepSpec& spec,
   }
 
   result.artifact_error = journal_error;
-  result.wall_ms = elapsed_ms(campaign_start);
+  result.wall_ms = wall_elapsed_ms(campaign_start);
   return result;
 }
 

@@ -155,9 +155,10 @@ struct JobResult {
   /// Runs attempted before this result was accepted (1 = first try; up to
   /// CampaignRunOptions::max_attempts for jobs that kept throwing).
   int attempts = 1;
-  /// The job exceeded CampaignRunOptions::job_timeout_ms. The timeout is
-  /// cooperative (checked when the run returns — a worker thread cannot be
-  /// preempted safely), and timed-out jobs are not retried.
+  /// The job exceeded CampaignRunOptions::job_timeout_ms: cooperatively on
+  /// threads (checked when the run returns — a worker thread cannot be
+  /// preempted safely), or by a hard kill under process/remote isolation.
+  /// Timed-out jobs are not retried.
   bool timed_out = false;
   double wall_ms = 0.0;
 };
@@ -243,24 +244,28 @@ struct CampaignJournal {
 };
 
 /// How campaign jobs are isolated from each other and from the engine.
+/// Every mode runs the same job function (run_job, sim/worker_proc.hpp)
+/// and the same over-budget verdict; the modes differ only in dispatch
+/// (threads draw job indices, processes receive frames carrying only job
+/// index and attempt) and in timeout enforcement. So results are
+/// bit-identical across modes, wall_ms aside.
 enum class IsolationMode {
   /// Jobs run on in-process worker threads (the default): fastest, but a
   /// segfault/abort()/OOM-kill in one job takes the whole campaign with it.
+  /// The job timeout is cooperative: checked when the run returns.
   kThread,
-  /// Jobs run in forked worker processes, each serving the same job loop
+  /// Jobs run in forked worker processes, each serving the same frame loop
   /// as tmemo_workerd over its own socketpair (sim/worker_proc.hpp): a
-  /// hard fault in one job becomes a failed
-  /// JobResult with the decoded cause while every other job completes, and
-  /// the job timeout becomes a hard SIGKILL. Results are bit-identical to
-  /// thread isolation (wall_ms aside). POSIX only.
+  /// hard fault in one job becomes a failed JobResult with the decoded
+  /// cause while every other job completes, and the job timeout becomes a
+  /// hard SIGKILL. POSIX only.
   kProcess,
   /// Jobs run in remote tmemo_workerd processes that connect over TCP
   /// (src/net/, docs/DISTRIBUTED.md). The supervisor listens on
   /// CampaignRunOptions::listen_address and multiplexes remote workers
   /// (plus optional local forked workers) in one poll() loop; a lost
   /// connection maps into the crash taxonomy exactly like a dead forked
-  /// worker. Results stay bit-identical to thread isolation because only
-  /// (job index, attempt) crosses the wire. POSIX only.
+  /// worker, and an overdue job is reclaimed by disconnecting. POSIX only.
   kRemote,
 };
 

@@ -6,26 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/table.hpp"
 #include "io/atomic_file.hpp"
 
 namespace tmemo {
-
-namespace {
-
-/// RFC-4180 quoting for the merged header's fingerprint field (record rows
-/// arrive pre-escaped from serialize_job_result).
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-} // namespace
 
 JournalMergeReport merge_campaign_journals(
     const std::vector<std::string>& shard_paths,

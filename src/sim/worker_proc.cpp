@@ -17,12 +17,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/pod_io.hpp"
 #include "common/require.hpp"
+#include "common/table.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "telemetry/collector.hpp"
@@ -43,15 +45,15 @@ constexpr int kMaxRespawnBackoffMs = 200;
 /// occupy the supervisor forever).
 constexpr int kHandshakeTimeoutMs = 5000;
 
-// Wall-clock reads are confined to wall_now() (lint rule R1): supervision
-// deadlines and wall_ms reporting only — never simulation results.
-std::chrono::steady_clock::time_point wall_now() {
-  return std::chrono::steady_clock::now();
-}
-
-double wall_elapsed_ms(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(wall_now() - since)
-      .count();
+/// Marks `r` timed out against `budget_ms`: the result is discarded and
+/// the error says which budget it blew and how ("timeout" for the verdict
+/// on a finished run, "hard timeout (...)" for an enforced one).
+void mark_timed_out(JobResult& r, double budget_ms, std::string_view how) {
+  r.ok = false;
+  r.timed_out = true;
+  r.report = KernelRunReport{};
+  r.error =
+      "job exceeded " + fmt_double(budget_ms) + " ms " + std::string(how);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,54 +67,6 @@ double wall_elapsed_ms(std::chrono::steady_clock::time_point since) {
   std::signal(sig, SIG_DFL);
   ::raise(sig);
   _exit(111); // only reachable if the signal was blocked
-}
-
-/// One dispatch = the job's whole remaining retry budget for *clean*
-/// failures, mirroring the thread pool's in-worker retry loop so the
-/// attempts column is bit-identical across isolation modes. Crashes are the
-/// supervisor's share of the budget: a redispatch resumes at attempt+1.
-JobResult run_dispatched_job(
-    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
-    std::size_t job_index, int start_attempt, int max_attempts,
-    const std::optional<inject::WorkerCrashInjection>& inject_crash,
-    WorkerWorkloads& w) {
-  const CampaignJob& job = jobs[job_index];
-  JobResult out;
-  out.job = job;
-  const auto job_start = wall_now();
-  if (!w.setup_error.empty()) {
-    // Setup failures are environmental, not per-job: never retried.
-    out.attempts = start_attempt;
-    out.error = w.setup_error;
-  } else if (job.workload_index >= w.workloads.size()) {
-    out.attempts = start_attempt;
-    out.error = "workload factory returned fewer workloads than expected";
-  } else {
-    for (int attempt = start_attempt;; ++attempt) {
-      if (inject_crash && inject_crash->applies(job_index, attempt)) {
-        crash_now(inject_crash->signal);
-      }
-      out.attempts = attempt;
-      out.ok = false;
-      out.error.clear();
-      try {
-        const ExperimentConfig& config =
-            spec.variants.empty()
-                ? ExperimentConfig{}
-                : spec.variants[job.variant_index].config;
-        const Simulation sim(config);
-        out.report = sim.run(*w.workloads[job.workload_index], job.spec);
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.error = e.what();
-      } catch (...) {
-        out.error = "unknown exception";
-      }
-      if (out.ok || attempt >= max_attempts) break;
-    }
-  }
-  out.wall_ms = wall_elapsed_ms(job_start);
-  return out;
 }
 
 bool drain_requested(const volatile std::sig_atomic_t* drain_flag) {
@@ -711,15 +665,8 @@ class ProcessSupervisor {
       return;
     }
     res.job = (*req_.jobs)[s.job];
-    if (req_.job_timeout_ms > 0.0 && res.wall_ms > req_.job_timeout_ms) {
-      // Finished but over budget: classify like the thread pool's
-      // cooperative check so both isolation modes agree on the verdict.
-      res.ok = false;
-      res.timed_out = true;
-      res.report = KernelRunReport{};
-      res.error = "job exceeded " + format_ms(req_.job_timeout_ms) +
-                  " ms timeout";
-    }
+    // Finished but over budget: the same verdict thread workers apply.
+    classify_job_timeout(res, req_.job_timeout_ms);
     finalize(res);
     s.busy = false;
     s.deadline_armed = false;
@@ -840,9 +787,8 @@ class ProcessSupervisor {
 
     JobResult res = in_flight_failure(s);
     if (s.timeout_killed) {
-      res.timed_out = true;
-      res.error = "job exceeded " + format_ms(req_.job_timeout_ms) +
-                  " ms hard timeout (worker SIGKILLed)";
+      mark_timed_out(res, req_.job_timeout_ms,
+                     "hard timeout (worker SIGKILLed)");
       finalize(res);
       return;
     }
@@ -921,9 +867,8 @@ class ProcessSupervisor {
         // No SIGKILL across machines: dropping the connection is the whole
         // enforcement arsenal. Record the timeout verdict directly.
         JobResult res = in_flight_failure(s);
-        res.timed_out = true;
-        res.error = "job exceeded " + format_ms(req_.job_timeout_ms) +
-                    " ms hard timeout (remote worker disconnected)";
+        mark_timed_out(res, req_.job_timeout_ms,
+                       "hard timeout (remote worker disconnected)");
         (void)close_slot(s);
         s.busy = false;
         finalize(res);
@@ -971,12 +916,6 @@ class ProcessSupervisor {
   static void close_fd(int fd) {
     while (::close(fd) != 0 && errno == EINTR) {
     }
-  }
-
-  [[nodiscard]] static std::string format_ms(double ms) {
-    std::ostringstream os;
-    os << ms;
-    return os.str();
   }
 
   /// Wait status folded into one u64 timeline arg: signal number when
@@ -1033,6 +972,15 @@ class ProcessSupervisor {
 
 } // namespace
 
+std::chrono::steady_clock::time_point wall_now() {
+  return std::chrono::steady_clock::now();
+}
+
+double wall_elapsed_ms(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(wall_now() - since)
+      .count();
+}
+
 WorkerWorkloads build_worker_workloads(const SweepSpec& spec) {
   WorkerWorkloads w;
   try {
@@ -1044,6 +992,56 @@ WorkerWorkloads build_worker_workloads(const SweepSpec& spec) {
     w.setup_error = "workload setup failed: unknown exception";
   }
   return w;
+}
+
+JobResult run_job(
+    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
+    std::size_t job_index, int start_attempt, int max_attempts,
+    const std::optional<inject::WorkerCrashInjection>& inject_crash,
+    WorkerWorkloads& w) {
+  const CampaignJob& job = jobs[job_index];
+  JobResult out;
+  out.job = job;
+  const auto job_start = wall_now();
+  if (!w.setup_error.empty()) {
+    // Setup failures are environmental, not per-job: never retried.
+    out.attempts = start_attempt;
+    out.error = w.setup_error;
+  } else if (job.workload_index >= w.workloads.size()) {
+    out.attempts = start_attempt;
+    out.error = "workload factory returned fewer workloads than expected";
+  } else {
+    for (int attempt = start_attempt;; ++attempt) {
+      if (inject_crash && inject_crash->applies(job_index, attempt)) {
+        crash_now(inject_crash->signal);
+      }
+      out.attempts = attempt;
+      out.ok = false;
+      out.error.clear();
+      try {
+        const ExperimentConfig& config =
+            spec.variants.empty()
+                ? ExperimentConfig{}
+                : spec.variants[job.variant_index].config;
+        const Simulation sim(config);
+        out.report = sim.run(*w.workloads[job.workload_index], job.spec);
+        out.ok = true;
+      } catch (const std::exception& e) {
+        out.error = e.what();
+      } catch (...) {
+        out.error = "unknown exception";
+      }
+      if (out.ok || attempt >= max_attempts) break;
+    }
+  }
+  out.wall_ms = wall_elapsed_ms(job_start);
+  return out;
+}
+
+void classify_job_timeout(JobResult& result, double job_timeout_ms) {
+  if (job_timeout_ms > 0.0 && result.wall_ms > job_timeout_ms) {
+    mark_timed_out(result, job_timeout_ms, "timeout");
+  }
 }
 
 SessionEnd serve_jobs(
@@ -1120,7 +1118,7 @@ SessionEnd serve_jobs(
       return SessionEnd::kLost;
     }
 
-    const JobResult result = run_dispatched_job(
+    const JobResult result = run_job(
         spec, jobs, static_cast<std::size_t>(dispatch.job),
         static_cast<int>(dispatch.start_attempt), max_attempts, inject_crash,
         workloads);

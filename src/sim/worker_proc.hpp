@@ -1,12 +1,23 @@
-// Process- and remote-isolated campaign worker pool (docs/RESILIENCE.md,
+// The one job function every isolation mode runs, and the process- and
+// remote-isolated worker pool around it (docs/RESILIENCE.md,
 // docs/DISTRIBUTED.md).
 //
-// The thread pool in campaign.cpp is the fast default, but one SIGSEGV,
-// abort() or OOM-kill inside a job takes the whole campaign — and its
-// journal — with it. run_process_pool trades a fork() per worker for
-// containment: a supervisor (the calling thread; it stays single-threaded,
-// which keeps fork() safe under TSan) forks N workers, feeds them jobs over
-// a length-prefixed frame protocol (net/frame.hpp) on one socketpair per
+// run_job is the whole job: workload-setup check, the in-worker retry loop
+// for clean failures, exception capture and wall_ms. Thread workers
+// (CampaignEngine::run), forked workers and tmemo_workerd all call it on a
+// private workload set from build_worker_workloads, and every finished
+// result passes the one over-budget verdict, classify_job_timeout. The
+// isolation modes differ only in dispatch — worker threads draw indices
+// from a shared list, process and remote workers receive frames — and in
+// how a timeout is enforced: cooperatively after the run on threads, by
+// SIGKILL (forked worker) or disconnect (remote worker) under supervision.
+//
+// The thread pool is the fast default, but one SIGSEGV, abort() or
+// OOM-kill inside a job takes the whole campaign — and its journal — with
+// it. run_process_pool trades a fork() per worker for containment: a
+// supervisor (the calling thread; it stays single-threaded, which keeps
+// fork() safe under TSan) forks N workers, feeds them jobs over a
+// length-prefixed frame protocol (net/frame.hpp) on one socketpair per
 // worker, and turns every way a worker can die — signal, nonzero exit,
 // clean exit without replying, blown hard timeout — into a decoded
 // JobResult::error while every other job completes. Crashed in-flight jobs
@@ -31,6 +42,7 @@
 // sockets).
 #pragma once
 
+#include <chrono>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
@@ -110,15 +122,43 @@ struct ProcessPoolOutcome {
 ProcessPoolOutcome run_process_pool(const ProcessPoolRequest& req,
                                     std::vector<JobResult>& results);
 
-/// A worker's private workload set, built once per process — exactly like
-/// a worker thread's. A non-empty `setup_error` marks the environment
-/// broken: every dispatched job records it and none is retried.
+/// Wall-clock reads are confined to wall_now() (lint rule R1): its values
+/// feed only wall_ms reporting and supervision deadlines, never simulation
+/// results, which is why wall_ms is the one column the CI determinism
+/// check ignores.
+[[nodiscard]] std::chrono::steady_clock::time_point wall_now();
+[[nodiscard]] double wall_elapsed_ms(
+    std::chrono::steady_clock::time_point since);
+
+/// A worker's private workload set, built once per worker thread or
+/// process. A non-empty `setup_error` marks the environment broken: every
+/// job run on it records the error and none is retried.
 struct WorkerWorkloads {
   std::vector<std::unique_ptr<Workload>> workloads;
   std::string setup_error;
 };
 
 [[nodiscard]] WorkerWorkloads build_worker_workloads(const SweepSpec& spec);
+
+/// Runs jobs[job_index] on `w` with the job's whole remaining retry budget
+/// for *clean* failures: attempts start_attempt..max_attempts until one
+/// succeeds. Setup failures and a factory that returned too few workloads
+/// are environmental and never retried. Crashes are the supervisor's share
+/// of the budget: a redispatch resumes at attempt+1. When `inject_crash`
+/// applies to a (job, attempt) the calling *process* dies by the injected
+/// signal, so only expendable worker processes pass one.
+[[nodiscard]] JobResult run_job(
+    const SweepSpec& spec, const std::vector<CampaignJob>& jobs,
+    std::size_t job_index, int start_attempt, int max_attempts,
+    const std::optional<inject::WorkerCrashInjection>& inject_crash,
+    WorkerWorkloads& w);
+
+/// The over-budget verdict for a finished job: with a positive
+/// `job_timeout_ms` and `result.wall_ms` above it, the result is discarded
+/// — ok cleared, report reset, timed_out set, error "job exceeded <budget>
+/// ms timeout" — so slow outliers surface as failures instead of skewing
+/// the grid. Thread workers and the supervisor both apply it.
+void classify_job_timeout(JobResult& result, double job_timeout_ms);
 
 /// How a serve_jobs session ended.
 enum class SessionEnd {
@@ -133,22 +173,20 @@ enum class SessionEnd {
 /// between syscalls.
 inline constexpr int kDrainPollMs = 100;
 
-/// The one worker job loop, run by forked workers over their socketpair
+/// The one frame-serving loop, run by forked workers over their socketpair
 /// and by tmemo_workerd (net::run_workerd) over TCP. It serves typed frames
 /// on the blocking stream `fd`: each dispatch is acknowledged with a
-/// kJobStarted heartbeat, run with the job's whole remaining retry budget
-/// (so the attempts column matches thread isolation), appended to `shard`
-/// when one is given, and answered with its result frame — carrying a
-/// MetricsSnapshot when the spec collects metrics or a timeline. Pings are
-/// echoed; a verified goodbye ends the session as kComplete. When
-/// `drain_flag` becomes non-zero the worker finishes its in-flight job,
-/// says goodbye and returns kDrained. Every outgoing frame goes through
-/// `shim`. A frame that does not parse ends the session as kLost: under
-/// fault injection a corrupted frame and a hostile supervisor look
-/// identical, and reconnect heals both. When `inject_crash` applies to a
-/// (job, attempt) the *process* dies by the injected signal, so callers
-/// must be expendable worker processes. `jobs_done` counts delivered
-/// results; `error` says why a session ended other than kComplete.
+/// kJobStarted heartbeat, run by run_job, appended to `shard` when one is
+/// given, and answered with its result frame — carrying a MetricsSnapshot
+/// when the spec collects metrics or a timeline. Pings are echoed; a
+/// verified goodbye ends the session as kComplete. When `drain_flag`
+/// becomes non-zero the worker finishes its in-flight job, says goodbye and
+/// returns kDrained. Every outgoing frame goes through `shim`. A frame that
+/// does not parse ends the session as kLost: under fault injection a
+/// corrupted frame and a hostile supervisor look identical, and reconnect
+/// heals both. `inject_crash` is handed to run_job, so callers must be
+/// expendable worker processes. `jobs_done` counts delivered results;
+/// `error` says why a session ended other than kComplete.
 [[nodiscard]] SessionEnd serve_jobs(
     int fd, net::FrameWriteShim& shim, const SweepSpec& spec,
     const std::vector<CampaignJob>& jobs, int max_attempts,

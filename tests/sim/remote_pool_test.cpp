@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -27,12 +28,14 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/pod_io.hpp"
 #include "inject/worker_crash.hpp"
 #include "net/fault.hpp"
 #include "net/frame.hpp"
 #include "net/transport.hpp"
 #include "net/workerd.hpp"
 #include "sim/campaign.hpp"
+#include "sim/worker_proc.hpp"
 #include "workloads/haar.hpp"
 #include "workloads/workload.hpp"
 
@@ -87,8 +90,8 @@ class GatedHaarWorkload final : public Workload {
   std::function<void()> gate_;
 };
 
-SweepSpec gated_haar_spec(std::function<void()> gate) {
-  SweepSpec spec = haar_spec();
+SweepSpec gated_haar_spec(std::function<void()> gate, int points = 3) {
+  SweepSpec spec = haar_spec(points);
   spec.factory = [gate = std::move(gate)] {
     std::vector<std::unique_ptr<Workload>> v;
     v.push_back(std::make_unique<GatedHaarWorkload>(gate));
@@ -410,6 +413,71 @@ TEST(RemoteIsolation, LocalSlotCrashIsDecodedInsideARemoteCampaign) {
   EXPECT_EQ(remote.worker_stats.crashes, 1u);
 }
 
+// -- The shared over-budget verdict under supervision -------------------------
+
+/// A protocol-level workerd for a test thread: registers, answers every
+/// dispatch with the job's real result (run_job) but a reported wall_ms of
+/// `wall_ms`, and returns true once the supervisor says goodbye.
+bool serve_reporting_wall_ms(const SweepSpec& spec, std::uint16_t port,
+                             double wall_ms) {
+  std::string error;
+  const int fd = net::connect_to({"127.0.0.1", port}, 5000, error);
+  if (fd < 0) return false;
+  const std::vector<CampaignJob> jobs = CampaignEngine::expand(spec);
+  net::HelloFrame hello;
+  hello.campaign_digest = campaign_wire_digest(spec);
+  hello.job_count = static_cast<std::uint64_t>(jobs.size());
+  std::string payload;
+  net::HelloAckFrame ack;
+  bool ok = net::write_frame(fd, net::encode_hello(hello)) &&
+            net::read_frame(fd, payload) &&
+            net::decode_hello_ack(payload, ack) && ack.accepted == 1;
+  WorkerWorkloads workloads = build_worker_workloads(spec);
+  net::JobDispatchFrame dispatch;
+  while (ok && net::read_frame(fd, payload) &&
+         net::decode_dispatch(payload, dispatch) &&
+         net::write_frame(fd,
+                          net::encode_event(net::kJobStarted, dispatch.job))) {
+    JobResult res = run_job(spec, jobs, static_cast<std::size_t>(dispatch.job),
+                            dispatch.start_attempt, ack.max_attempts,
+                            std::nullopt, workloads);
+    res.wall_ms = wall_ms;
+    std::ostringstream body;
+    write_sized_string(body, serialize_job_result(res));
+    write_pod(body, std::uint8_t{0}); // no metrics snapshot
+    ok = net::write_frame(fd,
+                          net::encode_result_frame(dispatch.job, body.str()));
+  }
+  ok = ok && net::peek_frame_type(payload) == net::kGoodbye;
+  ::close(fd);
+  return ok;
+}
+
+TEST(RemoteIsolation, OverBudgetResultGetsTheSharedTimeoutVerdict) {
+  // Workers never see the budget: the supervisor must discard a finished
+  // but over-budget result exactly as a worker thread does, with the
+  // budget printed shortest round-trip.
+  const SweepSpec spec = haar_spec(1);
+  net::Listener listener;
+  listener.open({"127.0.0.1", 0});
+  bool served = false;
+  std::thread worker([&] {
+    served = serve_reporting_wall_ms(spec, listener.bound_port(), 2e6);
+  });
+  CampaignRunOptions options = remote_options(listener);
+  options.job_timeout_ms = 1234567.5;
+  const CampaignResult res = CampaignEngine(1).run(spec, options);
+  worker.join();
+
+  EXPECT_TRUE(served);
+  ASSERT_EQ(res.jobs.size(), 1u);
+  EXPECT_FALSE(res.jobs[0].ok);
+  EXPECT_TRUE(res.jobs[0].timed_out);
+  EXPECT_EQ(res.jobs[0].error, "job exceeded 1234567.5 ms timeout");
+  EXPECT_TRUE(res.jobs[0].report.kernel.empty());
+  EXPECT_EQ(res.worker_stats.timeout_kills, 0u);
+}
+
 // -- Telemetry across the TCP fabric ------------------------------------------
 
 TEST(RemoteIsolation, MetricsSnapshotsCrossTheWireExactly) {
@@ -559,14 +627,24 @@ TEST(RemoteDrain, SigtermedWorkerdFinishesItsJobAndSaysGoodbye) {
   const std::string shard_path =
       ::testing::TempDir() + "tmemo_drain_shard.journal";
   std::remove(shard_path.c_str());
+  // The survivor holds every job until the draining worker has exited, so
+  // the campaign is still running when the drain goodbye arrives. Without
+  // the gate the survivor could finish the last job first, and a
+  // supervisor already shutting down never reads the goodbye.
+  const std::string dir = marker_dir("drained");
+  const std::string drained = dir + "/draining";
+  const SweepSpec gated = gated_haar_spec(
+      [drained] {
+        wait_until([&drained] { return std::filesystem::exists(drained); });
+      },
+      25);
 
   net::Listener listener;
   listener.open({"127.0.0.1", 0});
   net::WorkerdOptions journaling;
   journaling.journal_path = shard_path;
-  const pid_t draining =
-      fork_workerd(spec, listener, journaling);
-  const pid_t survivor = fork_workerd(spec, listener);
+  const pid_t draining = fork_workerd(spec, listener, journaling, drained);
+  const pid_t survivor = fork_workerd(gated, listener);
 
   CampaignResult remote;
   std::thread supervisor([&] {
@@ -611,6 +689,7 @@ TEST(RemoteDrain, SigtermedWorkerdFinishesItsJobAndSaysGoodbye) {
   EXPECT_EQ(shard.fingerprint, campaign_fingerprint(spec));
   EXPECT_GE(shard.entries.size(), 1u);
   std::remove(shard_path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // -- Supervisor loss: explicit goodbye vs raw EOF -----------------------------

@@ -5,17 +5,21 @@
 // process isolation produce bit-identical grids), and the supervisor edge
 // cases — SIGKILL mid-job, a worker that exits 0 without replying, a
 // poisoned job exhausting the retry budget into a failed-job manifest, the
-// hard timeout kill, and resume-after-crash bit-identity.
+// hard timeout kill, and resume-after-crash bit-identity — plus the job
+// function every isolation mode shares: setup failures and the over-budget
+// verdict.
 #include "sim/worker_proc.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -94,6 +98,41 @@ class StuckWorkload final : public Workload {
     return {};
   }
 };
+
+using Workloads = std::vector<std::unique_ptr<Workload>>;
+
+/// A factory that answers its first call (CampaignEngine::expand's) with
+/// Haar-128 plus an always-throwing workload, and every later call — the
+/// worker threads' or forked workers' own — with `later()`. Each spec gets
+/// its own call counter, so build a fresh one per campaign.
+SweepSpec spec_whose_workers_get(std::function<Workloads()> later) {
+  SweepSpec spec;
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  spec.factory = [calls, later = std::move(later)] {
+    if (calls->fetch_add(1) > 0) return later();
+    Workloads v;
+    v.push_back(std::make_unique<HaarWorkload>(128));
+    v.push_back(std::make_unique<AlwaysThrowsWorkload>());
+    return v;
+  };
+  spec.axis = SweepAxis::error_rate(0.0, 0.04, 2);
+  return spec;
+}
+
+/// Runs `make_spec()` at max_attempts = 3 under thread and then process
+/// isolation; both grids must agree bit-for-bit (wall_ms aside).
+CampaignResult run_both_isolations(const std::function<SweepSpec()>& make_spec) {
+  CampaignRunOptions thread_options;
+  thread_options.max_attempts = 3;
+  CampaignRunOptions proc_opts = process_options();
+  proc_opts.max_attempts = 3;
+  const CampaignResult threads =
+      CampaignEngine(2).run(make_spec(), thread_options);
+  const CampaignResult procs = CampaignEngine(2).run(make_spec(), proc_opts);
+  EXPECT_EQ(csv_without_wall(procs), csv_without_wall(threads));
+  EXPECT_EQ(procs.worker_stats.crashes, 0u);
+  return threads;
+}
 
 // -- Crash-injection parsing --------------------------------------------------
 
@@ -184,6 +223,81 @@ TEST(ProcessIsolation, CleanFailureAttemptsMatchThreadIsolation) {
   EXPECT_EQ(procs.jobs[0].attempts, 3);
   EXPECT_EQ(procs.worker_stats.crashes, 0u); // a throw is not a crash
   EXPECT_EQ(csv_without_wall(procs), csv_without_wall(threads));
+}
+
+// -- The shared job function: setup failures ---------------------------------
+
+TEST(JobSetup, FailedWorkloadSetupIsRecordedByEveryJobWithoutRetry) {
+  const CampaignResult res = run_both_isolations([] {
+    return spec_whose_workers_get(
+        []() -> Workloads { throw std::runtime_error("disk gone"); });
+  });
+  ASSERT_EQ(res.jobs.size(), 4u);
+  for (const JobResult& j : res.jobs) {
+    EXPECT_FALSE(j.ok);
+    EXPECT_EQ(j.error, "workload setup failed: disk gone");
+    EXPECT_EQ(j.attempts, 1); // environmental: never retried
+  }
+}
+
+TEST(JobSetup, ShortFactoryFailsTheMissingWorkloadsJobsWithoutRetry) {
+  const CampaignResult res = run_both_isolations([] {
+    return spec_whose_workers_get([] {
+      Workloads v;
+      v.push_back(std::make_unique<HaarWorkload>(128));
+      return v;
+    });
+  });
+  ASSERT_EQ(res.jobs.size(), 4u);
+  for (const JobResult& j : res.jobs) {
+    if (j.job.workload_index == 0) {
+      EXPECT_TRUE(j.ok) << j.error;
+      continue;
+    }
+    // The always-throwing workload never ran: a run would have burned all
+    // three attempts on "hard failure".
+    EXPECT_FALSE(j.ok);
+    EXPECT_EQ(j.error,
+              "workload factory returned fewer workloads than expected");
+    EXPECT_EQ(j.attempts, 1);
+  }
+}
+
+// -- The shared over-budget verdict ------------------------------------------
+
+TEST(JobTimeout, OverBudgetVerdictPrintsTheBudgetShortestRoundTrip) {
+  // The verdict thread workers and the supervisor both apply.
+  JobResult res;
+  res.ok = true;
+  res.report.kernel = "Haar";
+  res.report.energy.baseline_pj = 42.0;
+  res.wall_ms = 1234568.0;
+  classify_job_timeout(res, 1234567.5);
+  EXPECT_FALSE(res.ok);
+  EXPECT_TRUE(res.timed_out);
+  EXPECT_EQ(res.error, "job exceeded 1234567.5 ms timeout");
+  EXPECT_TRUE(res.report.kernel.empty());
+  EXPECT_EQ(res.report.energy.baseline_pj, 0.0);
+
+  // At the budget, and with no budget, the result stands.
+  JobResult within;
+  within.ok = true;
+  within.wall_ms = 1234567.5;
+  classify_job_timeout(within, 1234567.5);
+  classify_job_timeout(within, 0.0);
+  EXPECT_TRUE(within.ok);
+  EXPECT_FALSE(within.timed_out);
+}
+
+TEST(JobTimeout, ThreadPoolAppliesTheSharedVerdict) {
+  CampaignRunOptions options;
+  options.job_timeout_ms = 1e-9; // any real run takes longer
+  const CampaignResult res = CampaignEngine(1).run(haar_spec(1), options);
+  ASSERT_EQ(res.jobs.size(), 1u);
+  EXPECT_FALSE(res.jobs[0].ok);
+  EXPECT_TRUE(res.jobs[0].timed_out);
+  EXPECT_EQ(res.jobs[0].error, "job exceeded 1e-09 ms timeout");
+  EXPECT_TRUE(res.jobs[0].report.kernel.empty());
 }
 
 // -- Crash containment --------------------------------------------------------
