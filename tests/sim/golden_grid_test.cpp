@@ -4,6 +4,9 @@
 // exactly the grid its command line describes. The CSVs carry every column
 // but wall_ms, the one wall-clock field.
 //
+// Metrics JSON goldens pin the telemetry of the plain, spatial and injected
+// grids, and one Chrome trace pins the per-lane timeline instants.
+//
 // These pin the paths the perfbench gate does not: spatial memoization,
 // power-gated modules, a deeper LUT, the voltage axis and the fault
 // injectors (LUT SEUs with parity, EDS false negatives/positives, the ECU
@@ -22,6 +25,7 @@
 #include "cli/spec_flags.hpp"
 #include "sim/campaign.hpp"
 #include "telemetry/exporters.hpp"
+#include "telemetry/timeline.hpp"
 
 namespace tmemo {
 namespace {
@@ -96,9 +100,9 @@ TEST_P(GoldenGrid, RegeneratesByteIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     TmemoSimFlagSets, GoldenGrid,
     ::testing::Values(
-        GoldenCase{"errsweep.csv", nullptr,
+        GoldenCase{"errsweep.csv", "errsweep_metrics.json",
                    {"--sweep", "error-rate:0:0.04:3"}},
-        GoldenCase{"spatial.csv", nullptr,
+        GoldenCase{"spatial.csv", "spatial_metrics.json",
                    {"--error-rate", "0.02", "--spatial"}},
         GoldenCase{"nomemo.csv", nullptr, {"--no-memo"}},
         GoldenCase{"inject.csv", "inject_metrics.json",
@@ -112,6 +116,22 @@ INSTANTIATE_TEST_SUITE_P(
       name.resize(name.find('.'));
       return name;
     });
+
+// Job 0's Chrome trace under every injector: the eds_error, ecu_replay and
+// watchdog_trip instants pin each lane event's simulation tick.
+TEST(GoldenTrace, InjectedHaarTraceRegeneratesByteIdentically) {
+  SweepSpec spec = spec_from_flags(
+      {"--kernel", "haar", "--error-rate", "0.04", "--scale", "0.01",
+       "--inject-lut-seu", "0.001", "--inject-parity", "--inject-eds-fn",
+       "0.1", "--inject-eds-fp", "0.001", "--watchdog-budget", "5"});
+  spec.timeline = true;
+
+  const CampaignResult result = CampaignEngine(2).run(spec);
+  ASSERT_NE(result.timeline, nullptr);
+  std::ostringstream trace;
+  telemetry::write_chrome_trace(*result.timeline, trace);
+  EXPECT_EQ(trace.str(), read_golden("inject_haar_trace.json"));
+}
 
 // -- Shape claims, read from the golden grids ----------------------------------
 
