@@ -42,17 +42,27 @@ void ComputeUnit::execute_wavefront_op(
   TM_REQUIRE(arity < 3 || c != nullptr, "operand c required for this opcode");
   // Records bound for the device's own accumulator are counted in place;
   // every other sink (trace writer, performance model, tests) gets each
-  // one through ExecutionSink::consume.
+  // one through ExecutionSink::consume. The telemetry null check is made
+  // here, once per op.
+  const auto run = [&](auto* records) {
+    if constexpr (telemetry::kProbesCompiledIn) {
+      if (probe_ != nullptr) {
+        issue<true>(op, static_id, a, b, c, active_mask, base_work_item,
+                    errors, records, results);
+        return;
+      }
+    }
+    issue<false>(op, static_id, a, b, c, active_mask, base_work_item, errors,
+                 records, results);
+  };
   if (sink != nullptr && sink == accumulator_) {
-    issue(op, static_id, a, b, c, active_mask, base_work_item, errors,
-          accumulator_, results);
+    run(accumulator_);
   } else {
-    issue(op, static_id, a, b, c, active_mask, base_work_item, errors, sink,
-          results);
+    run(sink);
   }
 }
 
-template <typename Sink>
+template <bool kProbed, typename Sink>
 void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
                         const float* b, const float* c,
                         std::uint64_t active_mask, WorkItemId base_work_item,
@@ -67,11 +77,6 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
   const std::uint64_t lanes =
       active_mask &
       (wavefront_size_ >= 64 ? ~0ull : (1ull << wavefront_size_) - 1);
-  TMEMO_TELEM(probe_,
-              telemetry::ProbeEvent{
-                  telemetry::ProbeEvent::Kind::kWavefrontIssue,
-                  static_cast<std::uint8_t>(unit), 0, 0, probe_cu_,
-                  static_cast<std::uint64_t>(std::popcount(lanes))});
   std::array<float, kMaxLanes> exact;
   evaluate_fp_op(op, a, b, c, lanes, exact.data());
 
@@ -86,6 +91,12 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
   std::array<ResilientFpu*, kMaxLanes> fpus;
   std::fill_n(fpus.begin(), cores, nullptr);
   const std::uint64_t core_mask = cores >= 64 ? ~0ull : (1ull << cores) - 1;
+
+  // This op's telemetry, handed to the probe in one call at the end.
+  [[maybe_unused]] telemetry::WavefrontOpBatch batch(
+      probe_cu_, static_cast<std::uint8_t>(unit),
+      static_cast<std::uint16_t>(cores), static_cast<std::uint64_t>(depth),
+      lanes);
 
   for (int sub = 0; sub < subwavefronts_; ++sub) {
     const int first_lane = sub * cores;
@@ -127,12 +138,7 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
           rec.exact_result = exact[static_cast<std::size_t>(lane)];
           rec.operands = ins.operands;
           results[lane] = rec.result;
-          TMEMO_TELEM(probe_,
-                      telemetry::ProbeEvent{
-                          telemetry::ProbeEvent::Kind::kSpatialReuse,
-                          static_cast<std::uint8_t>(unit), 0,
-                          static_cast<std::uint16_t>(sc), probe_cu_,
-                          static_cast<std::uint64_t>(rec.latency_cycles)});
+          if constexpr (kProbed) batch.add(static_cast<unsigned>(lane), lane_events(rec));
           if (sink != nullptr) sink->consume(rec);
           continue;
         }
@@ -152,22 +158,16 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
         if (!master.armed()) master.arm(ins, rec.result);
       }
       results[lane] = rec.result;
+      if constexpr (kProbed) batch.add(static_cast<unsigned>(lane), lane_events(rec));
       if (sink != nullptr) sink->consume(rec);
     }
   }
+  if constexpr (kProbed) probe_->on_wavefront_op(batch);
 }
 
 StreamCore& ComputeUnit::stream_core(int i) {
   TM_REQUIRE(i >= 0 && i < stream_core_count(), "stream-core index range");
   return cores_[static_cast<std::size_t>(i)];
-}
-
-void ComputeUnit::set_probe(telemetry::ProbeSink* sink, std::uint32_t cu) {
-  probe_ = sink;
-  probe_cu_ = cu;
-  for (std::size_t sc = 0; sc < cores_.size(); ++sc) {
-    cores_[sc].set_probe(sink, cu, static_cast<std::uint16_t>(sc));
-  }
 }
 
 void ComputeUnit::for_each_fpu(const std::function<void(ResilientFpu&)>& fn) {

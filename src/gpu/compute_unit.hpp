@@ -86,9 +86,13 @@ class ComputeUnit {
     for (auto& core : cores_) core.drop_fpus();
   }
 
-  /// Attaches (nullptr detaches) a telemetry sink to this unit and every
-  /// stream core / FPU beneath it; `cu` is this unit's device index.
-  void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu);
+  /// Attaches (nullptr detaches) a telemetry sink; `cu` is this unit's
+  /// device index. The unit emits every lane's events for its FPUs, one
+  /// WavefrontOpBatch per wavefront op (telemetry/probe.hpp).
+  void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu) noexcept {
+    probe_ = sink;
+    probe_cu_ = cu;
+  }
 
   // -- Spatial memoization (reference [20]; see memo/spatial.hpp) ----------
 
@@ -111,8 +115,8 @@ class ComputeUnit {
 
  private:
   /// execute_wavefront_op's body, for the device accumulator (direct call)
-  /// or any other sink (virtual call).
-  template <typename Sink>
+  /// or any other sink (virtual call), with or without a telemetry batch.
+  template <bool kProbed, typename Sink>
   void issue(FpOpcode op, StaticInstrId static_id, const float* a,
              const float* b, const float* c, std::uint64_t active_mask,
              WorkItemId base_work_item, const TimingErrorModel& errors,

@@ -68,9 +68,10 @@ CycleRunResult CycleAccurateFpu::run(std::span<const FpInstruction> stream,
         if (slot.error) {
           ++out.stats.timing_errors;
           ++out.stats.masked_errors;
-          // The ECU emits the kErrorMasked probe and keeps the
-          // masked-vs-recovered distinction in its own stats.
+          // The ECU keeps the masked-vs-recovered distinction in its
+          // own stats.
           ecu_.note_masked_error(unit_);
+          probe(telemetry::ProbeEvent::Kind::kErrorMasked);
         }
         probe(telemetry::ProbeEvent::Kind::kOpRetired,
               static_cast<std::uint64_t>(depth_),
@@ -92,7 +93,14 @@ CycleRunResult CycleAccurateFpu::run(std::span<const FpInstruction> stream,
           }
         }
         if (oldest_flushed < next_issue) next_issue = oldest_flushed;
+        const bool storm = ecu_.storm_tripped();
         stall_cycles = ecu_.recover(unit_, 0);
+        probe(telemetry::ProbeEvent::Kind::kEcuReplay,
+              static_cast<std::uint64_t>(stall_cycles));
+        if (!storm && ecu_.storm_tripped()) {
+          probe(telemetry::ProbeEvent::Kind::kWatchdogTrip,
+                ecu_.stats().recovery_cycles);
+        }
         recovering = slot;
         continue; // the stall starts next cycle
       } else {

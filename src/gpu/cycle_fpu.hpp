@@ -60,7 +60,6 @@ class CycleAccurateFpu {
     probe_ = sink;
     probe_cu_ = cu;
     probe_core_ = core;
-    ecu_.set_probe(sink, cu, core);
   }
 
  private:

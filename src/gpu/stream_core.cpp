@@ -34,7 +34,6 @@ void StreamCore::create(int pe, FpuType unit) {
                                      static_cast<std::uint64_t>(unit));
   auto fpu = std::make_unique<ResilientFpu>(unit, cfg);
   programming_->apply_to(*fpu);
-  fpu->set_probe(probe_, probe_cu_, probe_core_);
   fpus_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(unit)] =
       std::move(fpu);
 }
@@ -45,14 +44,6 @@ void StreamCore::for_each_fpu(const std::function<void(ResilientFpu&)>& fn) {
       if (fpu_exists(pe, unit)) fn(fpu(pe, unit));
     }
   }
-}
-
-void StreamCore::set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
-                           std::uint16_t core) {
-  probe_ = sink;
-  probe_cu_ = cu;
-  probe_core_ = core;
-  for_each_created_fpu([=](ResilientFpu& f) { f.set_probe(sink, cu, core); });
 }
 
 ResilientFpu& StreamCore::fpu(int pe, FpuType unit) {

@@ -117,19 +117,11 @@ class StreamCore {
   /// Direct access for tests: the FPU of `unit` on PE `pe`.
   [[nodiscard]] ResilientFpu& fpu(int pe, FpuType unit);
 
-  /// Attaches (nullptr detaches) a telemetry sink to every FPU of this
-  /// core; `cu`/`core` give the core's device coordinates.
-  void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
-                 std::uint16_t core);
-
  private:
   void create(int pe, FpuType unit);
 
   std::shared_ptr<const FpuProgramming> programming_;
   std::uint64_t seed_;
-  telemetry::ProbeSink* probe_ = nullptr;
-  std::uint32_t probe_cu_ = 0;
-  std::uint16_t probe_core_ = 0;
   // pe -> unit -> FPU instance, null until first use. Transcendental units
   // only exist on T; non-transcendental units are replicated on X/Y/Z/W.
   std::array<std::array<std::unique_ptr<ResilientFpu>, kNumFpuTypes>, kPeCount>

@@ -15,7 +15,9 @@
 // filled, and a full FIFO evicts by overwriting its oldest slot.
 //
 // lookup_checked(), update() and push() are defined in this header: the
-// FPU transaction runs them for every lane, and they inline into it.
+// FPU transaction runs them for every lane, and they inline into it
+// (lookup_checked() always: every compute-unit issue loop instantiation
+// holds one copy).
 #pragma once
 
 #include <algorithm>
@@ -111,8 +113,8 @@ class MemoLut {
   /// parity bit (odd flip counts; the comparator bank reads all lines each
   /// cycle, so the check is free) and counts them in
   /// LutStats::parity_invalidations.
-  [[nodiscard]] LookupResult lookup_checked(const FpInstruction& ins,
-                                            const MatchConstraint& constraint) {
+  [[nodiscard, gnu::always_inline]] LookupResult lookup_checked(
+      const FpInstruction& ins, const MatchConstraint& constraint) {
     ++stats_.lookups;
     if (parity_protected_) drop_parity_failures();
     LookupResult res;

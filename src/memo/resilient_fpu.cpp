@@ -21,6 +21,15 @@ void ResilientFpu::reset_stats() {
   ecu_.reset_stats();
 }
 
+void ResilientFpu::emit_probe_events(const ExecutionRecord& rec) const {
+  telemetry::emit_lane_events(
+      *probe_, lane_events(rec),
+      telemetry::ProbeEvent{telemetry::ProbeEvent::Kind::kOpRetired,
+                            static_cast<std::uint8_t>(unit_), 0, probe_core_,
+                            probe_cu_, 0},
+      static_cast<std::uint64_t>(depth_));
+}
+
 void ResilientFpu::set_power_gated(bool gated) {
   if (gated && !power_gated_) lut_.clear();
   power_gated_ = gated;

@@ -59,10 +59,15 @@ struct ExecutionRecord {
 
   // Fault-injection outcomes (all false/0 with injection off).
   int lut_seu_flips = 0;           ///< SEU bits flipped during this op
+  int lut_parity_drops = 0;        ///< corrupt lines parity invalidated
   bool eds_false_negative = false; ///< real violation, flag suppressed
   bool eds_false_positive = false; ///< spurious flag, wasted recovery
   bool corrupt_reuse = false;      ///< hit served from an SEU-flipped line
   bool sdc = false;                ///< silently corrupted value committed
+  /// Nonzero only on the op whose recovery tripped the replay-storm
+  /// watchdog: the ECU's recovery-cycle total then, which exceeds the
+  /// budget.
+  std::uint64_t watchdog_trip_cycles = 0;
 
   float result = 0.0f;         ///< architecturally committed value (Q_pipe)
   float exact_result = 0.0f;   ///< golden datapath value (for fidelity)
@@ -150,17 +155,22 @@ class ResilientFpu {
 
   /// Executes one dynamic instruction under the given timing-error model
   /// and returns the full record. Deterministic for a fixed seed sequence.
+  /// An attached probe (set_probe) receives the transaction's events.
   ExecutionRecord execute(const FpInstruction& ins,
                           const TimingErrorModel& errors) {
     ExecutionRecord rec = execute(ins, errors, evaluate_fp_op(ins));
+    if constexpr (telemetry::kProbesCompiledIn) {
+      if (probe_ != nullptr) emit_probe_events(rec);
+    }
     return rec;
   }
 
   /// execute() with the golden datapath value of `ins` already computed
   /// (`exact` == evaluate_fp_op(ins)); a compute unit evaluates a whole
-  /// wavefront op at once. Defined below the class, in this header, and
-  /// always inlined: the issue loop then holds the whole transaction, and
-  /// record fields no consumer reads are never written.
+  /// wavefront op at once, and emits its telemetry as one batch, so this
+  /// form emits none. Defined below the class, in this header, and always
+  /// inlined: the issue loop then holds the whole transaction, and record
+  /// fields no consumer reads are never written.
   [[gnu::always_inline]] ExecutionRecord execute(
       const FpInstruction& ins, const TimingErrorModel& errors, float exact);
 
@@ -173,26 +183,21 @@ class ResilientFpu {
   void set_power_gated(bool gated);
   [[nodiscard]] bool power_gated() const noexcept { return power_gated_; }
 
-  /// Attaches (nullptr detaches) a telemetry sink; `cu`/`core` identify
-  /// this FPU's position for event attribution. With no sink attached the
-  /// execute() hot path pays one null-check per probe site (see
+  /// Attaches (nullptr detaches) a telemetry sink for standalone use:
+  /// execute(ins, errors) then emits each transaction's events, stamped
+  /// with `cu`/`core`. A compute unit's FPUs carry none; the unit emits
+  /// for them. With no sink attached execute() pays one null check (see
   /// telemetry/probe.hpp for the zero-overhead contract).
   void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
                  std::uint16_t core) noexcept {
     probe_ = sink;
     probe_cu_ = cu;
     probe_core_ = core;
-    ecu_.set_probe(sink, cu, core);
   }
 
  private:
-  /// Emission helper: stamps this FPU's identity onto a probe event.
-  void probe(telemetry::ProbeEvent::Kind kind, std::uint64_t value = 0,
-             std::uint8_t aux = 0) const {
-    TMEMO_TELEM(probe_, telemetry::ProbeEvent{
-                            kind, static_cast<std::uint8_t>(unit_), aux,
-                            probe_core_, probe_cu_, value});
-  }
+  /// Sends `rec`'s lane events to probe_, one on_event() call each.
+  void emit_probe_events(const ExecutionRecord& rec) const;
 
   FpuType unit_;
   int depth_;
@@ -235,8 +240,6 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
     if (flips > 0) {
       rec.lut_seu_flips = flips;
       stats_.seu_flips += static_cast<std::uint64_t>(flips);
-      probe(telemetry::ProbeEvent::Kind::kLutSeuFlip,
-            static_cast<std::uint64_t>(flips));
     }
   }
 
@@ -248,16 +251,10 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
     rec.lut_lookups = 1;
     const std::uint64_t dropped =
         lut_.stats().parity_invalidations - parity_before;
-    if (dropped > 0) {
-      stats_.parity_invalidations += dropped;
-      probe(telemetry::ProbeEvent::Kind::kLutParityDrop, dropped);
-    }
+    rec.lut_parity_drops = static_cast<int>(dropped);
+    stats_.parity_invalidations += dropped;
   }
   rec.lut_hit = memorized.hit;
-  if (rec.lut_lookups > 0) {
-    probe(rec.lut_hit ? telemetry::ProbeEvent::Kind::kLutHit
-                      : telemetry::ProbeEvent::Kind::kLutMiss);
-  }
 
   // 2. EDS sensors sample the datapath. On a hit the remaining stages are
   //    clock-gated, so only the first stage (which ran in parallel with the
@@ -271,17 +268,10 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
       ecu_.watchdog().action == inject::WatchdogAction::kRaiseGuardband;
   if (!guardband_raised) eds = eds_.observe(errors);
   rec.timing_error = eds.error;
-  if (eds.false_negative) {
-    rec.eds_false_negative = true;
-    ++stats_.eds_false_negatives;
-    probe(telemetry::ProbeEvent::Kind::kEdsFalseNegative);
-  }
-  if (eds.false_positive) {
-    rec.eds_false_positive = true;
-    ++stats_.eds_false_positives;
-    probe(telemetry::ProbeEvent::Kind::kEdsFalsePositive);
-  }
-  if (rec.timing_error) probe(telemetry::ProbeEvent::Kind::kEdsError);
+  rec.eds_false_negative = eds.false_negative;
+  rec.eds_false_positive = eds.false_positive;
+  stats_.eds_false_negatives += eds.false_negative ? 1 : 0;
+  stats_.eds_false_positives += eds.false_positive ? 1 : 0;
 
   // 3. Table-2 decision, driven by the *observed* flag: a false negative
   //    behaves like a clean pass, a false positive like a real violation.
@@ -305,7 +295,6 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
         lut_.update(ins, rec.result);
         rec.lut_updated = true;
         rec.lut_writes = 1;
-        probe(telemetry::ProbeEvent::Kind::kLutWrite);
       }
       break;
     }
@@ -321,6 +310,9 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
       rec.recovery_cycles = ecu_.recover(unit_, /*flushed_in_flight_ops=*/0);
       rec.latency_cycles = depth_ + rec.recovery_cycles;
       rec.recovered = true;
+      if (!storm && ecu_.storm_tripped()) {
+        rec.watchdog_trip_cycles = ecu_.stats().recovery_cycles;
+      }
       break;
     }
     case MemoAction::kReuse:
@@ -351,10 +343,7 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
     }
   }
 
-  if (rec.sdc) {
-    ++stats_.sdc_ops;
-    probe(telemetry::ProbeEvent::Kind::kSdcCommit);
-  }
+  stats_.sdc_ops += rec.sdc ? 1 : 0;
 
   // 4. Statistics.
   ++stats_.instructions;
@@ -369,10 +358,62 @@ inline ExecutionRecord ResilientFpu::execute(const FpInstruction& ins,
       static_cast<std::uint64_t>(rec.gated_stage_cycles);
   stats_.lut_updates += rec.lut_updated ? 1 : 0;
   regs_.latch_status_hits(stats_.hits);
-  probe(telemetry::ProbeEvent::Kind::kOpRetired,
-        static_cast<std::uint64_t>(rec.latency_cycles),
-        static_cast<std::uint8_t>(rec.action));
   return rec;
+}
+
+/// The probe events one transaction emits, derived from its record: the
+/// single definition behind both the compute unit's per-op batch and a
+/// standalone FPU's per-event emission. The common kinds are computed
+/// without branches (hit or miss is data-dependent); the rare ones only
+/// when the record shows an error or an injected fault.
+[[gnu::always_inline]] inline telemetry::LaneEvents lane_events(
+    const ExecutionRecord& rec) {
+  using Kind = telemetry::ProbeEvent::Kind;
+  const auto bit_if = [](bool on, Kind kind) {
+    return static_cast<std::uint16_t>(static_cast<unsigned>(on)
+                                      << telemetry::lane_bit_index(kind));
+  };
+  telemetry::LaneEvents ev;
+  ev.action = static_cast<std::uint8_t>(rec.action);
+  if (rec.spatial_reuse) {
+    ev.kinds = telemetry::kind_bit(Kind::kSpatialReuse);
+    return ev;
+  }
+  const bool looked = rec.lut_lookups > 0;
+  ev.kinds = static_cast<std::uint16_t>(
+      telemetry::kind_bit(Kind::kOpRetired) |
+      bit_if(looked && rec.lut_hit, Kind::kLutHit) |
+      bit_if(looked && !rec.lut_hit, Kind::kLutMiss) |
+      bit_if(rec.lut_writes > 0, Kind::kLutWrite));
+  const bool fault = rec.lut_seu_flips > 0 || rec.lut_parity_drops > 0 ||
+                     rec.eds_false_negative || rec.eds_false_positive ||
+                     rec.watchdog_trip_cycles > 0 || rec.sdc;
+  if (rec.timing_error || rec.recovered || rec.error_masked || fault)
+      [[unlikely]] {
+    ev.kinds |= static_cast<std::uint16_t>(
+        bit_if(rec.timing_error, Kind::kEdsError) |
+        bit_if(rec.recovered, Kind::kEcuReplay) |
+        bit_if(rec.error_masked, Kind::kErrorMasked) |
+        bit_if(rec.lut_seu_flips > 0, Kind::kLutSeuFlip) |
+        bit_if(rec.lut_parity_drops > 0, Kind::kLutParityDrop) |
+        bit_if(rec.eds_false_negative, Kind::kEdsFalseNegative) |
+        bit_if(rec.eds_false_positive, Kind::kEdsFalsePositive) |
+        bit_if(rec.watchdog_trip_cycles > 0, Kind::kWatchdogTrip) |
+        bit_if(rec.sdc, Kind::kSdcCommit));
+    // The values, in kLaneEmissionOrder.
+    std::size_t n = 0;
+    if (rec.lut_seu_flips > 0) {
+      ev.values[n++] = static_cast<std::uint64_t>(rec.lut_seu_flips);
+    }
+    if (rec.lut_parity_drops > 0) {
+      ev.values[n++] = static_cast<std::uint64_t>(rec.lut_parity_drops);
+    }
+    if (rec.recovered) {
+      ev.values[n++] = static_cast<std::uint64_t>(rec.recovery_cycles);
+    }
+    if (rec.watchdog_trip_cycles > 0) ev.values[n] = rec.watchdog_trip_cycles;
+  }
+  return ev;
 }
 
 } // namespace tmemo

@@ -63,6 +63,11 @@ class TelemetryCollector final : public ProbeSink {
   explicit TelemetryCollector(CollectorConfig config = {});
 
   void on_event(const ProbeEvent& event) override;
+  /// Folds a whole wavefront op into exactly the state its per-event
+  /// expansion would leave: per-op array adds, one latency-histogram
+  /// record(value, count), and per-lane work only for the per-core state
+  /// and the rare kinds.
+  void on_wavefront_op(const WavefrontOpBatch& batch) override;
 
   /// The registry backing this collector; callers may add their own
   /// instruments (Simulation::run sets the run.* configuration gauges).
@@ -161,18 +166,26 @@ class TelemetryCollector final : public ProbeSink {
     Histogram* h = histograms_[slot];
     return h != nullptr ? *h : resolve_histogram(slot);
   }
-  CoreState& core_state(const ProbeEvent& e) {
-    if (e.cu < cores_.size() && e.core < cores_[e.cu].size()) {
-      return cores_[e.cu][e.core];
+  CoreState& core_state(std::uint32_t cu, std::uint16_t core) {
+    if (cu < cores_.size() && core < cores_[cu].size()) {
+      return cores_[cu][core];
     }
-    return grow_core_state(e);
+    return grow_core_state(cu, core);
   }
 
   Histogram& resolve_histogram(HistogramSlot slot);
-  CoreState& grow_core_state(const ProbeEvent& e);
+  CoreState& grow_core_state(std::uint32_t cu, std::uint16_t core);
   PendingOp& pending(std::uint32_t cu);
-  void record_instant(const ProbeEvent& e, std::string_view name,
-                      std::string_view category, std::string_view arg_key);
+  void record_instant(const ProbeEvent& e, std::uint64_t ts,
+                      std::string_view name, std::string_view category,
+                      std::string_view arg_key);
+  /// kWavefrontIssue: opens the CU's next timeline span.
+  void issue(std::uint32_t cu, std::uint8_t unit, std::uint64_t lanes);
+  /// kOpRetired's per-core part: extends or closes the replay burst.
+  void retire_on_core(CoreState& core);
+  /// The rare kinds (WavefrontOpBatch::kRareKinds) of one event, whose
+  /// instant is stamped `ts`.
+  void on_rare(const ProbeEvent& e, std::uint64_t ts);
   void flush_op(std::uint32_t cu, PendingOp& op);
   void publish_counters();
 

@@ -1,7 +1,6 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace tmemo::telemetry {
@@ -40,14 +39,6 @@ std::size_t HistogramSpec::bucket_count() const noexcept {
   // log2: index = bit_width(v) in 0..64. linear: n buckets + overflow.
   return scale == Scale::kLog2 ? 65u
                                : static_cast<std::size_t>(linear_buckets) + 1u;
-}
-
-std::size_t HistogramSpec::index(std::uint64_t v) const noexcept {
-  if (scale == Scale::kLog2) return static_cast<std::size_t>(std::bit_width(v));
-  if (v < lo) return 0;
-  if (v >= hi) return linear_buckets; // overflow bucket
-  const std::uint64_t width = (hi - lo) / linear_buckets;
-  return static_cast<std::size_t>((v - lo) / width);
 }
 
 std::uint64_t HistogramSpec::bucket_lo(std::size_t i) const noexcept {

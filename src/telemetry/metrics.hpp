@@ -16,6 +16,7 @@
 // invariant textually outside src/telemetry/.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -70,7 +71,15 @@ struct HistogramSpec {
   [[nodiscard]] static HistogramSpec log2();
 
   [[nodiscard]] std::size_t bucket_count() const noexcept;
-  [[nodiscard]] std::size_t index(std::uint64_t v) const noexcept;
+  [[nodiscard]] std::size_t index(std::uint64_t v) const noexcept {
+    if (scale == Scale::kLog2) {
+      return static_cast<std::size_t>(std::bit_width(v));
+    }
+    if (v < lo) return 0;
+    if (v >= hi) return linear_buckets; // overflow bucket
+    const std::uint64_t width = (hi - lo) / linear_buckets;
+    return static_cast<std::size_t>((v - lo) / width);
+  }
   /// Inclusive lower bound of bucket i.
   [[nodiscard]] std::uint64_t bucket_lo(std::size_t i) const noexcept;
   /// Exclusive upper bound of bucket i (uint64 max for the overflow/top
@@ -92,6 +101,16 @@ class Histogram {
     ++buckets_[spec_.index(v)];
     ++count_;
     sum_ += v;
+    if (v < min_) min_ = v;
+    if (v > max_) max_ = v;
+  }
+  /// `n` samples of value `v`: the same state as n record(v) calls (n == 0
+  /// changes nothing).
+  void record(std::uint64_t v, std::uint64_t n) noexcept {
+    if (n == 0) return;
+    buckets_[spec_.index(v)] += n;
+    count_ += n;
+    sum_ += v * n;
     if (v < min_) min_ = v;
     if (v > max_) max_ = v;
   }

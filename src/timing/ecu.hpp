@@ -25,7 +25,6 @@
 #include "common/types.hpp"
 #include "fpu/opcode.hpp"
 #include "inject/fault_config.hpp"
-#include "telemetry/probe.hpp"
 
 namespace tmemo {
 
@@ -84,19 +83,10 @@ class Ecu {
     ++stats_.recoveries;
     stats_.recovery_cycles += static_cast<std::uint64_t>(cycles);
     stats_.flushed_ops += static_cast<std::uint64_t>(flushed_in_flight_ops);
-    TMEMO_TELEM(probe_, telemetry::ProbeEvent{
-                            telemetry::ProbeEvent::Kind::kEcuReplay,
-                            static_cast<std::uint8_t>(unit), 0, probe_core_,
-                            probe_cu_, static_cast<std::uint64_t>(cycles)});
     if (watchdog_.enabled() && !storm_tripped_ &&
         stats_.recovery_cycles > watchdog_.recovery_cycle_budget) {
       storm_tripped_ = true;
       ++stats_.watchdog_trips;
-      TMEMO_TELEM(probe_,
-                  telemetry::ProbeEvent{
-                      telemetry::ProbeEvent::Kind::kWatchdogTrip,
-                      static_cast<std::uint8_t>(unit), 0, probe_core_,
-                      probe_cu_, stats_.recovery_cycles});
     }
     return cycles;
   }
@@ -107,27 +97,14 @@ class Ecu {
   /// window but does not un-degrade the hardware.
   [[nodiscard]] bool storm_tripped() const noexcept { return storm_tripped_; }
 
-  /// Attaches (or detaches, with nullptr) a telemetry sink; `cu`/`core`
-  /// locate this ECU's FPU on the device for event attribution.
-  void set_probe(telemetry::ProbeSink* sink, std::uint32_t cu,
-                 std::uint16_t core) noexcept {
-    probe_ = sink;
-    probe_cu_ = cu;
-    probe_core_ = core;
-  }
-
   /// Records an error flag that was masked before reaching recovery (the
   /// memoization module's {Hit=1, Error=1} state). Counted both as a
   /// signaled error and, separately, as a masked one, so masked and
-  /// recovered errors are distinguishable in EcuStats; also emits the
-  /// kErrorMasked probe on behalf of the executing unit.
-  void note_masked_error(FpuType unit) {
+  /// recovered errors are distinguishable in EcuStats. `unit` names the
+  /// executing FPU type, as for recover().
+  void note_masked_error(FpuType /*unit*/) {
     ++stats_.errors_signaled;
     ++stats_.masked_errors;
-    TMEMO_TELEM(probe_, telemetry::ProbeEvent{
-                            telemetry::ProbeEvent::Kind::kErrorMasked,
-                            static_cast<std::uint8_t>(unit), 0, probe_core_,
-                            probe_cu_, 0});
   }
 
   [[nodiscard]] const EcuStats& stats() const noexcept { return stats_; }
@@ -138,9 +115,6 @@ class Ecu {
   inject::WatchdogConfig watchdog_;
   bool storm_tripped_ = false;
   EcuStats stats_;
-  telemetry::ProbeSink* probe_ = nullptr;
-  std::uint32_t probe_cu_ = 0;
-  std::uint16_t probe_core_ = 0;
 };
 
 } // namespace tmemo

@@ -3,15 +3,18 @@
 // name on every event, per-core and per-CU state in std::maps. Both sinks
 // see the same seeded random probe streams; their snapshots (names, order,
 // values, histogram buckets), drop counts and Chrome traces must be
-// identical, byte for byte.
+// identical, byte for byte. The batched cases feed the reference each
+// wavefront op's per-event form and the collector the batch itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -517,6 +520,177 @@ TEST(CollectorDiff, SnapshotListsOnlyInstrumentsThatFired) {
   EXPECT_TRUE(none.histograms.empty());
   ASSERT_EQ(none.gauges.size(), 1u);
   EXPECT_EQ(none.gauges[0].name, "sim.timeline_dropped_events");
+}
+
+// -- Batched emission ---------------------------------------------------------
+
+/// One step of a stream: a wavefront op as a compute unit hands it over
+/// (`batch` set; `events` is its per-event form, kWavefrontIssue first), or
+/// a standalone FPU's transaction, which only has the per-event form.
+struct Step {
+  std::optional<WavefrontOpBatch> batch;
+  std::vector<ProbeEvent> events;
+};
+
+/// Appends one random lane transaction on `lane` to `step`: its events in
+/// the order the per-event path emits them, and the lane to the batch if
+/// there is one (whose lane i runs on stream core i % cores).
+void random_lane(Xorshift128& rng, std::uint32_t cu, std::uint8_t unit,
+                 std::uint64_t latency, unsigned lane, std::uint16_t core,
+                 Step& step) {
+  using K = ProbeEvent::Kind;
+  const auto coin = [&rng](std::uint64_t one_in) {
+    return rng.next_below(one_in) == 0;
+  };
+  const auto count = [&rng]() -> std::uint64_t {
+    return rng.next_below(4) == 0 ? 0 : 1 + rng.next_below(5);
+  };
+  LaneEvents ev;
+  ev.action = static_cast<std::uint8_t>(rng.next_below(kNumActions));
+  std::size_t values = 0;
+  const auto push = [&](K kind, std::uint64_t value = 0, std::uint8_t aux = 0) {
+    step.events.push_back(ProbeEvent{kind, unit, aux, core, cu, value});
+    ev.kinds |= kind_bit(kind);
+  };
+  const auto valued = [&](K kind, std::uint64_t value) {
+    push(kind, value);
+    ev.values[values++] = value;
+  };
+
+  if (coin(6)) {
+    push(K::kSpatialReuse, latency);
+  } else {
+    if (coin(6)) valued(K::kLutSeuFlip, count());
+    if (coin(6)) valued(K::kLutParityDrop, count());
+    if (!coin(5)) push(coin(2) ? K::kLutHit : K::kLutMiss);
+    if (coin(8)) push(K::kEdsFalseNegative);
+    if (coin(8)) push(K::kEdsFalsePositive);
+    if (coin(4)) push(K::kEdsError);
+    if (coin(3)) push(K::kLutWrite);
+    std::uint64_t cycles = 0;
+    if (coin(4)) {
+      cycles = coin(5) ? 0 : 12 * (1 + rng.next_below(2));
+      valued(K::kEcuReplay, cycles);
+    }
+    if (coin(8)) valued(K::kWatchdogTrip, rng.next_below(1000));
+    if (coin(5)) push(K::kErrorMasked);
+    if (coin(8)) push(K::kSdcCommit);
+    push(K::kOpRetired, latency + cycles, ev.action);
+  }
+  if (step.batch) step.batch->add(lane, ev);
+}
+
+/// A seeded stream of wavefront-op batches (any of 64 lanes active, over
+/// 1..16 stream cores) on shuffled CUs, with standalone per-event
+/// transactions mixed in.
+std::vector<Step> random_batches(std::uint64_t seed, std::size_t length) {
+  Xorshift128 rng(seed);
+  std::vector<std::uint32_t> cus(20);
+  std::iota(cus.begin(), cus.end(), 0u);
+  for (std::size_t i = cus.size() - 1; i > 0; --i) {
+    std::swap(cus[i], cus[rng.next_below(i + 1)]);
+  }
+  cus.resize(1 + rng.next_below(cus.size()));
+  const auto cores = static_cast<std::uint16_t>(1 + rng.next_below(16));
+
+  std::vector<Step> steps(length);
+  for (Step& step : steps) {
+    const std::uint32_t cu = cus[rng.next_below(cus.size())];
+    // Mostly real units, sometimes a byte past the enum ("fpu.?").
+    const auto unit = static_cast<std::uint8_t>(
+        rng.next_below(8) == 0 ? 200 : rng.next_below(kNumFpuTypes));
+    const std::uint64_t latency = 1 + rng.next_below(20);
+    if (rng.next_below(10) == 0) {
+      const auto core = static_cast<std::uint16_t>(rng.next_below(cores));
+      random_lane(rng, cu, unit, latency, core, core, step);
+      continue;
+    }
+    // Full, sparse or empty wavefronts.
+    std::uint64_t active = 0;
+    switch (rng.next_below(4)) {
+      case 0: active = ~0ull; break;
+      case 1: active = rng.next_u64() & rng.next_u64(); break;
+      case 2: active = 0; break;
+      default: active = rng.next_u64(); break;
+    }
+    step.batch.emplace(cu, unit, cores, latency, active);
+    step.events.push_back(
+        ProbeEvent{ProbeEvent::Kind::kWavefrontIssue, unit, 0, 0, cu,
+                   static_cast<std::uint64_t>(std::popcount(active))});
+    for (std::uint64_t m = active; m != 0; m &= m - 1) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(m));
+      random_lane(rng, cu, unit, latency, lane,
+                  static_cast<std::uint16_t>(lane % cores), step);
+    }
+  }
+  return steps;
+}
+
+/// Records the events it is sent; batches reach it through ProbeSink's
+/// default expansion.
+class EventRecorder final : public ProbeSink {
+ public:
+  void on_event(const ProbeEvent& e) override { events.push_back(e); }
+  std::vector<ProbeEvent> events;
+};
+
+TEST(CollectorDiff, BatchesMatchTheStringKeyedFoldOfTheirEvents) {
+  const std::array<Mode, 4> modes = {{
+      kModes[0],
+      kModes[1],
+      kModes[2],
+      {"timeline capped mid-stream", true, 300},
+  }};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const std::vector<Step> steps = random_batches(seed, 250);
+    for (const Mode& mode : modes) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                      << mode.label);
+      CollectorConfig config;
+      config.timeline = mode.timeline;
+      config.timeline_max_events = mode.max_events;
+      ReferenceCollector ref(config);
+      TelemetryCollector col(config);
+      for (const Step& step : steps) {
+        for (const ProbeEvent& e : step.events) ref.on_event(e);
+        if (step.batch) {
+          col.on_wavefront_op(*step.batch);
+        } else {
+          for (const ProbeEvent& e : step.events) col.on_event(e);
+        }
+      }
+      expect_same_snapshot(ref.finish(), col.finish());
+      const std::shared_ptr<const Timeline> want_tl = ref.timeline();
+      const std::shared_ptr<const Timeline> got_tl = col.take_timeline();
+      ASSERT_EQ(want_tl == nullptr, got_tl == nullptr);
+      if (want_tl == nullptr) continue;
+      EXPECT_EQ(want_tl->dropped(), got_tl->dropped());
+      EXPECT_EQ(want_tl->events().size(), got_tl->events().size());
+      EXPECT_EQ(trace_of(*want_tl), trace_of(*got_tl));
+    }
+  }
+}
+
+TEST(CollectorDiff, DefaultBatchExpansionIsThePerEventStream) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    for (const Step& step : random_batches(seed, 100)) {
+      if (!step.batch) continue;
+      EventRecorder got;
+      got.on_wavefront_op(*step.batch);
+      ASSERT_EQ(got.events.size(), step.events.size());
+      for (std::size_t i = 0; i < step.events.size(); ++i) {
+        const ProbeEvent& w = step.events[i];
+        const ProbeEvent& g = got.events[i];
+        EXPECT_EQ(w.kind, g.kind) << i;
+        EXPECT_EQ(w.unit, g.unit) << i;
+        EXPECT_EQ(w.aux, g.aux) << i;
+        EXPECT_EQ(w.core, g.core) << i;
+        EXPECT_EQ(w.cu, g.cu) << i;
+        EXPECT_EQ(w.value, g.value) << i;
+      }
+    }
+  }
 }
 
 } // namespace

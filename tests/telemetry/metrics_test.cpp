@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 #include <sstream>
 #include <stdexcept>
 
@@ -135,6 +136,48 @@ TEST(Histogram, RecordTracksMomentsAndEmptyMinIsZero) {
   EXPECT_EQ(h.buckets()[h.spec().index(1)], 1u); // [1,1]
   EXPECT_EQ(h.buckets()[h.spec().index(4)], 1u); // [4,7]
   EXPECT_EQ(h.buckets()[h.spec().index(9)], 1u); // [8,15]
+}
+
+TEST(Histogram, RecordCountEqualsRepeatedRecords) {
+  // Linear with overflow and clamping, and log2, over values that hit the
+  // first, a middle and the overflow/top bucket.
+  for (const HistogramSpec& spec :
+       {HistogramSpec::linear(10, 70, 6), HistogramSpec::log2()}) {
+    MetricRegistry reg;
+    Histogram& batched = reg.histogram("batched", spec);
+    Histogram& single = reg.histogram("single", spec);
+    const std::pair<std::uint64_t, std::uint64_t> samples[] = {
+        {4, 1}, {12, 3}, {64, 7}, {69, 2}, {70, 5}, {1u << 20, 4}, {0, 2}};
+    for (const auto& [v, n] : samples) {
+      batched.record(v, n);
+      for (std::uint64_t i = 0; i < n; ++i) single.record(v);
+    }
+    EXPECT_EQ(batched.buckets(), single.buckets());
+    EXPECT_EQ(batched.count(), single.count());
+    EXPECT_EQ(batched.sum(), single.sum());
+    EXPECT_EQ(batched.min(), single.min());
+    EXPECT_EQ(batched.max(), single.max());
+  }
+}
+
+TEST(Histogram, RecordZeroCountChangesNothing) {
+  MetricRegistry reg;
+  Histogram& h = reg.histogram("h", HistogramSpec::log2());
+  h.record(7, 0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  for (std::uint64_t b : h.buckets()) EXPECT_EQ(b, 0u);
+
+  // Nor does it move min/max of a populated histogram.
+  h.record(5, 2);
+  h.record(1, 0);
+  h.record(100, 0);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), 10u);
+  EXPECT_EQ(h.min(), 5u);
+  EXPECT_EQ(h.max(), 5u);
 }
 
 // -- Snapshot merge ---------------------------------------------------------
