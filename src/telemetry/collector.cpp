@@ -128,8 +128,8 @@ TelemetryCollector::PendingOp& TelemetryCollector::pending(std::uint32_t cu) {
 
 void TelemetryCollector::record_instant(const ProbeEvent& e, std::uint64_t ts,
                                         std::string_view name,
-                                        std::string_view category,
-                                        std::string_view arg_key) {
+                                        TimelineKey category,
+                                        TimelineKey arg_key) {
   TimelineEvent ev;
   ev.phase = TimelineEvent::Phase::kInstant;
   ev.name = name;

@@ -177,8 +177,8 @@ class TelemetryCollector final : public ProbeSink {
   CoreState& grow_core_state(std::uint32_t cu, std::uint16_t core);
   PendingOp& pending(std::uint32_t cu);
   void record_instant(const ProbeEvent& e, std::uint64_t ts,
-                      std::string_view name, std::string_view category,
-                      std::string_view arg_key);
+                      std::string_view name, TimelineKey category,
+                      TimelineKey arg_key);
   /// kWavefrontIssue: opens the CU's next timeline span.
   void issue(std::uint32_t cu, std::uint8_t unit, std::uint64_t lanes);
   /// kOpRetired's per-core part: extends or closes the replay burst.

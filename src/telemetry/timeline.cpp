@@ -81,7 +81,7 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& os) {
     write_json_string(os, e.name);
     os << ", \"cat\": ";
     write_json_string(os, e.category.empty() ? std::string_view("tmemo")
-                                             : e.category);
+                                             : e.category.str());
     os << ", \"ph\": \"" << static_cast<char>(e.phase) << "\""
        << ", \"pid\": " << e.pid << ", \"tid\": " << e.tid
        << ", \"ts\": " << e.ts;

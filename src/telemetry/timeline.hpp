@@ -11,9 +11,10 @@
 // https://ui.perfetto.dev (docs/OBSERVABILITY.md has the walkthrough):
 // compute units render as processes, stream cores as threads.
 //
-// Recording an event allocates nothing. A TimelineEvent is a flat value:
-// its name, category and arg keys are std::string_views that must point at
-// static storage (string literals, fpu_type_name()), and its args live
+// Recording an event allocates nothing. A TimelineEvent is a flat 96-byte
+// value: its name is a std::string_view that must point at static storage
+// (string literals, fpu_type_name()), its category and arg keys are
+// one-byte indices into the fixed kTimelineKeys table, and its args live
 // inline (at most TimelineArgs::kCapacity of them).
 //
 // Event storage is capped: past `max_events` new events are counted as
@@ -40,38 +41,92 @@
 
 namespace tmemo::telemetry {
 
-/// The (key, value) args of one trace event, stored inline. Keys must have
-/// static storage. Supports the subset of the vector interface the
-/// emitters use: emplace_back and range-for.
+/// The categories and arg keys a trace may use. A TimelineKey stores its
+/// string as an index into this table, which keeps a TimelineEvent small.
+inline constexpr std::array<std::string_view, 21> kTimelineKeys = {
+    "",
+    // categories
+    "issue", "timing", "inject", "memo", "campaign",
+    // arg keys of the device timeline
+    "lanes", "lut_hits", "lut_misses", "eds_errors", "ecu_replays", "hits",
+    "misses", "cycles", "recovery_cycles",
+    // arg keys of the supervision timeline
+    "attempt", "capabilities", "job", "mid_job", "pid", "status",
+};
+
+/// One string of kTimelineKeys, as its index. Converting any other string
+/// fails TM_REQUIRE.
+class TimelineKey {
+ public:
+  constexpr TimelineKey() = default;
+  constexpr TimelineKey(std::string_view key) { // NOLINT: implicit
+    while (index_ < kTimelineKeys.size() && kTimelineKeys[index_] != key) {
+      ++index_;
+    }
+    TM_REQUIRE(index_ < kTimelineKeys.size(),
+               "timeline key is not in kTimelineKeys");
+  }
+  constexpr TimelineKey(const char* key) // NOLINT: implicit
+      : TimelineKey(std::string_view(key)) {}
+
+  [[nodiscard]] constexpr std::string_view str() const noexcept {
+    return kTimelineKeys[index_];
+  }
+  [[nodiscard]] constexpr bool empty() const noexcept { return index_ == 0; }
+
+ private:
+  std::uint8_t index_ = 0;
+};
+
+/// The (key, value) args of one trace event, stored inline. Supports the
+/// subset of the vector interface the emitters use: emplace_back and
+/// range-for (over (key, value) pairs).
 class TimelineArgs {
  public:
   using value_type = std::pair<std::string_view, std::uint64_t>;
   static constexpr std::size_t kCapacity = 5;
+
+  class const_iterator {
+   public:
+    const_iterator(const TimelineArgs& args, std::size_t i)
+        : args_(&args), i_(i) {}
+    value_type operator*() const {
+      return {args_->keys_[i_].str(), args_->values_[i_]};
+    }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const TimelineArgs* args_;
+    std::size_t i_;
+  };
 
   TimelineArgs() = default;
   TimelineArgs(std::initializer_list<value_type> args) {
     for (const value_type& a : args) emplace_back(a.first, a.second);
   }
 
-  void emplace_back(std::string_view key, std::uint64_t value) {
+  void emplace_back(TimelineKey key, std::uint64_t value) {
     TM_REQUIRE(size_ < kCapacity, "too many timeline event args");
-    items_[size_++] = {key, value};
+    keys_[size_] = key;
+    values_[size_++] = value;
   }
 
-  [[nodiscard]] const value_type* begin() const noexcept {
-    return items_.data();
-  }
-  [[nodiscard]] const value_type* end() const noexcept {
-    return items_.data() + size_;
-  }
+  [[nodiscard]] const_iterator begin() const { return {*this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {*this, size_}; }
 
  private:
-  std::array<value_type, kCapacity> items_{};
+  std::array<std::uint64_t, kCapacity> values_{};
+  std::array<TimelineKey, kCapacity> keys_{};
   std::uint8_t size_ = 0;
 };
 
 /// One trace_event entry. Only the fields the repo emits are modeled.
-/// `name` and `category` must point at static storage (see above).
+/// `name` must point at static storage (see above); the category is one of
+/// kTimelineKeys.
 struct TimelineEvent {
   enum class Phase : char {
     kComplete = 'X', ///< span: ts + dur
@@ -80,14 +135,16 @@ struct TimelineEvent {
   };
 
   Phase phase = Phase::kInstant;
+  TimelineKey category;
   std::string_view name;
-  std::string_view category;
   std::uint32_t pid = 0; ///< compute unit
   std::uint32_t tid = 0; ///< stream core (0 for CU-wide events)
   std::uint64_t ts = 0;  ///< simulation ticks
   std::uint64_t dur = 0; ///< kComplete only
   TimelineArgs args;
 };
+static_assert(sizeof(TimelineEvent) <= 96,
+              "a capped timeline holds up to max_events of these");
 
 class Timeline {
  public:
