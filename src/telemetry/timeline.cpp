@@ -1,8 +1,22 @@
 #include "telemetry/timeline.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
 #include <ostream>
 
 namespace tmemo::telemetry {
+
+void* map_pages(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_pages(void* p, std::size_t bytes) noexcept {
+  ::munmap(p, bytes);
+}
 
 void Timeline::set_process_name(std::uint32_t pid, std::string name) {
   for (auto& [p, n] : process_names_) {

@@ -20,12 +20,12 @@
 // Event storage is capped: past `max_events` new events are counted as
 // dropped rather than accumulated, so tracing a multi-million-instruction
 // run degrades gracefully instead of exhausting memory. The constructor
-// reserves the full cap once. Growing the buffer by doubling instead
-// would free a chain of multi-MB blocks, which raises glibc's dynamic
-// mmap threshold; later timelines then come out of per-thread arenas and
-// stay resident after they are freed. One reservation is one mmapped
-// block, returned to the OS on destruction, and untouched pages of it
-// never become resident.
+// reserves the full cap once, mapped straight from the OS (MappedAllocator)
+// and unmapped on destruction: untouched pages of it never become
+// resident, and no page of it outlives the timeline. Through malloc, a
+// freed multi-MB block raises glibc's dynamic mmap threshold (up to 32 MB),
+// so later timelines would come out of per-thread arenas and stay resident
+// after they are freed.
 #pragma once
 
 #include <array>
@@ -146,8 +146,36 @@ struct TimelineEvent {
 static_assert(sizeof(TimelineEvent) <= 96,
               "a capped timeline holds up to max_events of these");
 
+/// An anonymous private mapping of `bytes` (throws std::bad_alloc), and
+/// its release.
+void* map_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+
+/// Allocates each block with its own anonymous mapping and unmaps it on
+/// deallocation.
+template <typename T>
+struct MappedAllocator {
+  using value_type = T;
+
+  MappedAllocator() = default;
+  template <typename U>
+  MappedAllocator(const MappedAllocator<U>&) noexcept {} // NOLINT: rebind
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(map_pages(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    unmap_pages(p, n * sizeof(T));
+  }
+  friend bool operator==(const MappedAllocator&, const MappedAllocator&) {
+    return true;
+  }
+};
+
 class Timeline {
  public:
+  using Events = std::vector<TimelineEvent, MappedAllocator<TimelineEvent>>;
+
   static constexpr std::size_t kDefaultMaxEvents = 250000;
 
   explicit Timeline(std::size_t max_events = kDefaultMaxEvents)
@@ -162,7 +190,7 @@ class Timeline {
   void instant(const TimelineEvent& event) { push(event); }
   void counter(const TimelineEvent& event) { push(event); }
 
-  [[nodiscard]] const std::vector<TimelineEvent>& events() const noexcept {
+  [[nodiscard]] const Events& events() const noexcept {
     return events_;
   }
   [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::string>>&
@@ -183,7 +211,7 @@ class Timeline {
   }
 
   std::size_t max_events_;
-  std::vector<TimelineEvent> events_;
+  Events events_;
   std::vector<std::pair<std::uint32_t, std::string>> process_names_;
   std::uint64_t dropped_ = 0;
 };
