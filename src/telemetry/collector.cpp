@@ -45,8 +45,8 @@ const std::array<HistogramDef, 4> kHistograms = {{
 constexpr std::array<std::string_view, 3> kUnitSuffixes = {
     ".hits", ".misses", ".ops"};
 
-// A lane's contribution to its op's counts, by its common kinds (low five
-// bits, LaneEvents::kCommonKinds order) and action (next two): one 7-bit
+// A lane's contribution to its op's counts, by its WavefrontOpBatch::common
+// byte (common kinds in the low five bits, action in the next two): one 7-bit
 // field per common kind and one per action of a retired lane. A field holds
 // up to 127, and an op has at most 64 lanes.
 enum CountField : unsigned {
@@ -291,8 +291,7 @@ void TelemetryCollector::on_wavefront_op(const WavefrontOpBatch& b) {
     CoreState& core = row[c];
     std::uint64_t core_counts = 0;
     const auto count_lane = [&](unsigned lane) {
-      core_counts += kLaneCounts[(b.kinds[lane] & LaneEvents::kCommonKinds) |
-                                 ((b.actions[lane] & 3u) << 5)];
+      core_counts += kLaneCounts[b.common[lane]];
     };
     if ((replay_lanes & lanes) == 0 && !core.replay_in_op) {
       // No replay starts or extends a burst here: the core's first retire
@@ -308,7 +307,7 @@ void TelemetryCollector::on_wavefront_op(const WavefrontOpBatch& b) {
         const auto lane = static_cast<unsigned>(std::countr_zero(m));
         count_lane(lane);
         if (((replay_lanes >> lane) & 1u) != 0) core.replay_in_op = true;
-        if ((b.kinds[lane] & kind_bit(Kind::kOpRetired)) != 0) {
+        if ((b.common[lane] & kind_bit(Kind::kOpRetired)) != 0) {
           retire_on_core(core);
         }
       }

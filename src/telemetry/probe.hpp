@@ -164,11 +164,11 @@ void emit_lane_events(ProbeSink& sink, const LaneEvents& events,
 
 /// The probe events of one static vector instruction on one compute unit,
 /// as the unit hands them to its sink in one call. Lane i runs on stream
-/// core i % cores, and lanes issue in index order. Each active lane's kind
-/// set and action are stored by lane; lanes that emitted a rare kind are
-/// also listed whole, values included, in issue order. The arrays are left
-/// uninitialised past what was written, so a compute unit builds one on its
-/// stack per op.
+/// core i % cores, and lanes issue in index order. Each active lane keeps
+/// one byte, its common kinds and action (common()); lanes that emitted a
+/// rare kind are also listed whole, values included, in issue order. The
+/// arrays are left uninitialised past what was written, so a compute unit
+/// builds one on its stack per op.
 struct WavefrontOpBatch {
   static constexpr std::size_t kMaxLanes = 64;
 
@@ -189,8 +189,8 @@ struct WavefrontOpBatch {
   /// Records the events of lane `lane`, which must be in `active`; lanes
   /// are added in issue order.
   void add(unsigned lane, const LaneEvents& ev) noexcept {
-    kinds[lane] = ev.kinds;
-    actions[lane] = ev.action;
+    common[lane] = static_cast<std::uint8_t>(
+        (ev.kinds & LaneEvents::kCommonKinds) | ((ev.action & 3u) << 5));
     if (ev.rare()) [[unlikely]] rare[rare_count++] = RareLane{lane, ev};
   }
 
@@ -200,8 +200,8 @@ struct WavefrontOpBatch {
       if (rare[i].lane == lane) return rare[i].events;
     }
     LaneEvents ev;
-    ev.kinds = kinds[lane];
-    ev.action = actions[lane];
+    ev.kinds = common[lane] & LaneEvents::kCommonKinds;
+    ev.action = static_cast<std::uint8_t>(common[lane] >> 5);
     return ev;
   }
 
@@ -210,8 +210,9 @@ struct WavefrontOpBatch {
   std::uint16_t cores;   ///< stream cores of the compute unit
   std::uint64_t latency; ///< pipeline depth of `unit`
   std::uint64_t active;  ///< lanes issued; kWavefrontIssue carries the count
-  std::array<std::uint16_t, kMaxLanes> kinds;
-  std::array<std::uint8_t, kMaxLanes> actions;
+  /// By lane: its common kinds (LaneEvents::kCommonKinds), and its action
+  /// in bits 5-6.
+  std::array<std::uint8_t, kMaxLanes> common;
   std::uint32_t rare_count = 0;
   std::array<RareLane, kMaxLanes> rare;
 };
