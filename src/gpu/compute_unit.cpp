@@ -138,7 +138,9 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
           rec.exact_result = exact[static_cast<std::size_t>(lane)];
           rec.operands = ins.operands;
           results[lane] = rec.result;
-          if constexpr (kProbed) batch.add(static_cast<unsigned>(lane), lane_events(rec));
+          if constexpr (kProbed) {
+            batch.add(static_cast<unsigned>(lane), lane_events(rec));
+          }
           if (sink != nullptr) sink->consume(rec);
           continue;
         }
@@ -158,7 +160,9 @@ void ComputeUnit::issue(FpOpcode op, StaticInstrId static_id, const float* a,
         if (!master.armed()) master.arm(ins, rec.result);
       }
       results[lane] = rec.result;
-      if constexpr (kProbed) batch.add(static_cast<unsigned>(lane), lane_events(rec));
+      if constexpr (kProbed) {
+        batch.add(static_cast<unsigned>(lane), lane_events(rec));
+      }
       if (sink != nullptr) sink->consume(rec);
     }
   }

@@ -8,16 +8,28 @@
 // hit-rate spread, replay-burst lengths, per-op latency, wavefront
 // occupancy) — and, optionally, into a per-run event Timeline.
 //
-// Cost: a few ns per event, cheap enough to leave on. No instrument is
-// looked up by name per event. Counters are plain uint64 counts inside the
-// collector (fixed names by slot, fpu.<UNIT>.* by the event's unit byte,
-// memo.action.* by its aux byte), published to the registry by finish().
-// Histograms are Histogram* handles, resolved through the registry the
-// first time their event fires. Either way the snapshot lists only the
-// instruments that fired, the shape golden files and campaign merges rely
-// on. Per-core state lives in vectors indexed by compute unit, then stream
-// core, grown on demand. Timeline events are flat values (timeline.hpp),
-// so recording one does not allocate.
+// Two entry points fold into the same state. A compute unit hands over a
+// whole wavefront op as one WavefrontOpBatch (on_wavefront_op): its lanes
+// are folded core by core, each lane one table-indexed add of its common
+// kinds (hit, miss, write, spatial reuse, retire by action), and only the
+// lanes that emitted a rare kind (EDS error, ECU replay, masked error, a
+// fault-injection kind) are walked event by event. Every other emitter
+// sends single events (on_event). A batch leaves exactly the snapshot,
+// timeline and drop count its per-event expansion would, down to each
+// instant's tick: lane i of an op starts at the op's start tick plus the
+// number of active lanes before it (tests/telemetry/collector_diff_test).
+//
+// Cost: about 1 ns per batched lane and a few ns per single event, cheap
+// enough to leave on. No instrument is looked up by name per event.
+// Counters are plain uint64 counts inside the collector (fixed names by
+// slot, fpu.<UNIT>.* by the event's unit byte, memo.action.* by its aux
+// byte), published to the registry by finish(). Histograms are Histogram*
+// handles, resolved through the registry the first time their event fires.
+// Either way the snapshot lists only the instruments that fired, the shape
+// golden files and campaign merges rely on. Per-core state lives in vectors
+// indexed by compute unit, then stream core, grown on demand. Timeline
+// events are flat values (timeline.hpp), so recording one does not
+// allocate.
 //
 // Not thread-safe: the simulator executes one run on one thread, and the
 // campaign engine gives every job its own collector, merging the

@@ -7,20 +7,25 @@
 //    with -DTMEMO_TELEMETRY_DISABLED it costs nothing (kProbesCompiledIn is
 //    false and the TMEMO_TELEM macro expands to nothing, so the event
 //    expression is never evaluated).
-//  * On the campaign path the compute unit is the only emitter. It hoists
-//    the null check out of the issue loop, writes each lane's events into
-//    one stack-resident WavefrontOpBatch and hands the sink the whole
-//    wavefront op in one on_wavefront_op() call: the issue, then per lane in
-//    issue order its kLutHit/kLutMiss, kLutWrite, kSpatialReuse, kOpRetired
-//    and the rare kinds (EDS errors, ECU replays, masked errors, every
-//    fault-injection kind). A ResilientFpu with its own probe attached
-//    (standalone use: perfbench's layer pass, unit tests) emits the same
-//    lane events one on_event() call at a time; the cycle-accurate engine
-//    keeps its own per-event probes.
+//  * On the campaign path the compute unit is the only emitter. It makes
+//    the null check once per wavefront op, derives each lane's events from
+//    its ExecutionRecord (lane_events() in memo/resilient_fpu.hpp) into one
+//    stack-resident WavefrontOpBatch, and hands the sink the whole op in
+//    one on_wavefront_op() call: the kWavefrontIssue, then per lane in
+//    issue order its common kinds (kLutHit/kLutMiss, kLutWrite,
+//    kSpatialReuse, kOpRetired) and rare kinds (kEdsError, kEcuReplay,
+//    kErrorMasked and every fault-injection kind). A ResilientFpu with its
+//    own probe attached (standalone use: perfbench's layer pass, unit
+//    tests) emits the same lane events from the same lane_events(), one
+//    on_event() call each; the cycle-accurate engine keeps its own
+//    per-event probes.
 //  * Emission order within one instruction transaction is fixed:
-//    kLaneEmissionOrder below. A batch keeps that order, so expanding it
-//    (ProbeSink's default on_wavefront_op) yields exactly the per-event
-//    stream, and the collector folds it into the same per-op state.
+//    kLaneEmissionOrder below. A batch does not interleave lanes, it
+//    records each lane's kind set, and "the order" is the one its
+//    expansion (ProbeSink's default on_wavefront_op) yields: lanes in issue
+//    order, each lane's events in kLaneEmissionOrder. That is exactly the
+//    per-event stream, and the collector folds a batch into the same
+//    state.
 //  * This header is dependency-free (only standard headers) so the
 //    innermost layers — memo/resilient_fpu.hpp — can include it without
 //    creating a link-time dependency on tm_telemetry.
@@ -165,10 +170,12 @@ void emit_lane_events(ProbeSink& sink, const LaneEvents& events,
 /// The probe events of one static vector instruction on one compute unit,
 /// as the unit hands them to its sink in one call. Lane i runs on stream
 /// core i % cores, and lanes issue in index order. Each active lane keeps
-/// one byte, its common kinds and action (common()); lanes that emitted a
-/// rare kind are also listed whole, values included, in issue order. The
-/// arrays are left uninitialised past what was written, so a compute unit
-/// builds one on its stack per op.
+/// one byte, its common kinds and action (`common`); lanes that emitted a
+/// rare kind are also listed whole, values included, in issue order. Every
+/// lane ends in exactly one of kOpRetired and kSpatialReuse, so lane i
+/// starts one tick after the active lane before it. The arrays are left
+/// uninitialised past what was written, so a compute unit builds one on
+/// its stack per op.
 struct WavefrontOpBatch {
   static constexpr std::size_t kMaxLanes = 64;
 
