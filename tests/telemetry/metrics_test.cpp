@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <utility>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/exporters.hpp"
 
